@@ -2,10 +2,18 @@
 
 The residual couples at most two consecutive time levels, so the Jacobian is
 block bidiagonal in time and a sparse direct LU factorization solves each
-Newton step in essentially linear time.  Three Jacobian modes are offered:
-exact analytic assembly, a forward finite-difference assembly that exploits
-the same level-local sparsity, and a chord mode that factors the analytic
-Jacobian once at the initial iterate and reuses it.
+Newton step in essentially linear time.  Every level holds the same entries,
+shifted by N-1 rows and columns, and they depend only on the graph, the
+spanning tree and M.  The first analytic assembly of a problem therefore
+builds one level's entries as a template, cached on the TransportProblem,
+with a sparse operator from six per-edge terms to the entry values.  Each
+assembly evaluates those terms for all M levels as (M, E) arrays and lays
+the levels out in CSR order in one vectorized pass.
+
+Three Jacobian modes are offered: exact analytic assembly, a forward
+finite-difference assembly that exploits the same level-local sparsity, and
+a chord mode that factors the analytic Jacobian once at the initial iterate
+and reuses it.
 """
 
 from __future__ import annotations
@@ -55,7 +63,8 @@ class SolveConfig:
 
     ``fd_step`` is a base factor: the forward-difference step for unknown j
     is fd_step * (1 + |x_j|).  ``damping`` halves a rejected step up to 30
-    times until the residual norm decreases; plain Newton when off.
+    times until the residual norm decreases, and stops the solve when none
+    of those steps does; plain Newton when off.
     """
 
     tolerance: float = 1e-10
@@ -82,9 +91,12 @@ class SolveConfig:
 class SolveReport:
     """Outcome of one solve.
 
-    ``status`` is "converged", "max_iterations_exceeded" or
-    "nonfinite_residual"; ``converged`` is true iff the final residual norm
-    is below the tolerance.  ``cfl_margin`` is the worst local margin
+    ``status`` is "converged", "max_iterations_exceeded",
+    "nonfinite_residual" or "line_search_failed" (damping on, and neither
+    the Newton step nor any of its 30 halvings lowered the residual; the
+    solve keeps the last iterate, so ``residual_history`` strictly
+    decreases).  ``converged`` is true iff the final residual norm is below
+    the tolerance.  ``cfl_margin`` is the worst local margin
     1 - tau * sum sqrt(w) v^+ over nodes and the M update levels (relevant
     for the upwind model).  ``jacobian_rcond`` is a reciprocal-condition
     estimate from the first factored Jacobian, None when no factorization
@@ -119,8 +131,57 @@ def default_initial_guess(problem: TransportProblem) -> np.ndarray:
 # -- Jacobian assembly -------------------------------------------------------
 
 
-def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.csr_matrix:
-    """Exact sparse Jacobian of the residual at x.
+# Per-edge terms of one level, each a block of E rows of the template
+# operator: the flux partials sqrt(w) v dtheta/drho at the tail and at the
+# head, the momentum weight sqrt(w) theta, the kinetic partials
+# 2 v dtheta/drho seen from the tail and from the head, and head minus tail
+# of the latter.
+_FLUX_TAIL, _FLUX_HEAD, _WEIGHT, _KIN_TAIL, _KIN_HEAD, _KIN_DIFF = range(6)
+_EDGE_TERMS = 6
+
+# column classes of a template entry: density columns of the previous level
+# (absent at level 1), of the next level (absent at level M), velocity columns
+_PREV, _NEXT, _VELOCITY = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class _JacobianTemplate:
+    """The Jacobian entries of one time level, shared by all M levels.
+
+    Level l (0-based) shifts every entry by l*(N-1) rows and columns, so
+    entry k sits in column ``cols[k] + offsets[l]``.  Its value is
+    ``constants[k]`` plus the level's edge terms times column k of
+    ``operator``.  Entries are sorted by row and column with the density
+    rows first, so laying the levels out one after another within each row
+    block gives CSR order.
+    """
+
+    cols: np.ndarray
+    offsets: np.ndarray
+    constants: np.ndarray
+    operator: sp.csr_matrix  # (_EDGE_TERMS * E, entries)
+    structural: np.ndarray  # stored even where the value is zero
+    prev_level: np.ndarray
+    next_level: np.ndarray
+    density_entries: int
+    row_starts: np.ndarray  # first entry of each density row, then velocity row
+
+
+def _row_entries(matrix: sp.csr_matrix, rows: np.ndarray):
+    """The stored entries of each of ``rows`` (repeats allowed).
+
+    Returns (owner, column, value), owner being the position in ``rows``.
+    """
+    start = matrix.indptr[rows]
+    count = matrix.indptr[rows + 1] - start
+    owner = np.repeat(np.arange(rows.size), count)
+    first = np.cumsum(count) - count  # where each row's entries start in the result
+    pos = np.arange(int(count.sum())) + np.repeat(start - first, count)
+    return owner, matrix.indices[pos], matrix.data[pos]
+
+
+def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
+    """Entries of one level with their dependence on the edge terms.
 
     Includes the chain-rule terms through the eliminated density
     rho_N = 1 - sum rho_i and through the gauge expansion.  The velocity
@@ -130,98 +191,155 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
     """
     g = problem.graph
     tree = problem.tree
-    model = problem.model
     m = problem.steps
-    n = g.node_count
-    n1 = n - 1
+    n1 = g.node_count - 1
+    ne = g.edge_count
     tau = problem.tau
-    sw = g.sqrt_weights
-
-    rho, _, ve = level_fields(problem, x)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.intp))
-        cols.append(np.asarray(c, dtype=np.intp))
-        vals.append(np.asarray(v, dtype=float))
-
     idx = np.arange(n1)
-    ones = np.ones(n1)
+    edge = np.arange(ne)
     col_v0 = (m - 1) * n1
     row_v0 = m * n1
 
-    # rows of the velocity residual pick head minus tail of the kinetic sums
-    sel = sp.csr_matrix(
-        (
-            np.concatenate([0.5 * tau * tree.sqrt_weights, -0.5 * tau * tree.sqrt_weights]),
-            (np.concatenate([idx, idx]), np.concatenate([tree.head, tree.tail])),
-        ),
-        shape=(n1, n),
+    # identities: +I on the next level, -I on the same level
+    const_rows = np.concatenate([idx, idx, row_v0 + idx, row_v0 + idx])
+    const_cols = np.concatenate([idx, idx - n1, col_v0 + n1 + idx, col_v0 + idx])
+    const_cls = np.repeat([_NEXT, _PREV, _VELOCITY, _VELOCITY], n1)
+    const_vals = np.repeat([1.0, -1.0, 1.0, -1.0], n1)
+
+    # density residual: tau * flux derivative on the same level's densities
+    er = np.concatenate([g.tail, g.tail, g.head, g.head])
+    ec = np.concatenate([g.tail, g.head, g.tail, g.head])
+    flux_tail, flux_head = _FLUX_TAIL * ne + edge, _FLUX_HEAD * ne + edge
+    et = np.concatenate([flux_tail, flux_head, flux_tail, flux_head])
+    ev = np.repeat([tau, -tau], 2 * ne)
+    own = er < n1
+    er, ec, et, ev = er[own], ec[own], et[own], ev[own]
+    direct = ec < n1
+    # a unit increase of any interior density lowers rho_N by one
+    last = ~direct
+    hits = int(last.sum())
+    flux_rows = np.concatenate([er[direct], np.repeat(er[last], n1)])
+    flux_cols = np.concatenate([ec[direct], np.tile(idx, hits)]) - n1
+    flux_terms = np.concatenate([et[direct], np.repeat(et[last], n1)])
+    flux_coef = np.concatenate([ev[direct], -np.repeat(ev[last], n1)])
+
+    # density residual: velocity derivative d(v*theta)/dv = theta(.,.,v),
+    # the rows of incidence . diag(sqrt(w) theta) . expansion
+    i, e, sign = _row_entries(g.incidence, idx)
+    pair_rows = [i]
+    pair_edges = [e]
+    pair_terms = [_WEIGHT * ne + e]
+    pair_coef = [tau * sign]
+
+    # velocity residual: the kinetic sums' derivative, the rows of
+    # sel . diag(2 v dtheta/drho) . expansion with sel picking head minus
+    # tail of tree edge f.  Tree edge f meets both of its own ends; its two
+    # terms enter as one, their difference, which is exactly zero where
+    # they are equal, as it is in the sparse product.
+    s = 0.5 * tau * tree.sqrt_weights
+    for node, end_sign in ((tree.head, s), (tree.tail, -s)):
+        for incident, block in (
+            (g.tail_matrix, _KIN_TAIL),
+            (g.head_matrix, _KIN_HEAD),
+        ):
+            f, e, _ = _row_entries(incident, node)
+            other = (g.tail[e] != tree.tail[f]) | (g.head[e] != tree.head[f])
+            f, e = f[other], e[other]
+            pair_rows.append(row_v0 + f)
+            pair_edges.append(e)
+            pair_terms.append(block * ne + e)
+            pair_coef.append(end_sign[f])
+    f, e, _ = _row_entries(g.tail_matrix, tree.tail)
+    mine = g.head[e] == tree.head[f]
+    f, e = f[mine], e[mine]
+    pair_rows.append(row_v0 + f)
+    pair_edges.append(e)
+    pair_terms.append(_KIN_DIFF * ne + e)
+    pair_coef.append(s[f])
+
+    pair_rows, pair_edges, pair_terms, pair_coef = (
+        np.concatenate(a) for a in (pair_rows, pair_edges, pair_terms, pair_coef)
     )
-    expansion = tree.expansion
+    k, c, factor = _row_entries(tree.expansion, pair_edges)
 
-    for lv in range(1, m + 1):
-        r = rho[lv - 1]
-        v = ve[lv - 1]
-        rt, rh = r[g.tail], r[g.head]
-        th = model.theta_values(rt, rh, v)
-        p_tail, p_head = model.theta_density_partials(rt, rh, v)
-        p_head_own = model.theta_density_partials(rh, rt, -v)[0]
+    rows = np.concatenate([const_rows, flux_rows, pair_rows[k]])
+    cols = np.concatenate([const_cols, flux_cols, col_v0 + c])
+    cls = np.concatenate(
+        [const_cls, np.full(flux_rows.size, _PREV), np.full(k.size, _VELOCITY)]
+    )
+    width = col_v0 + 3 * n1
+    key = (rows * 3 + cls) * width + cols + n1
+    entry, inverse = np.unique(key, return_inverse=True)
+    rows = entry // (3 * width)
+    cls = entry // width % 3
+    n_const = const_rows.size
+    n_direct = n_const + flux_rows.size
 
-        row_d = (lv - 1) * n1
-        row_v = row_v0 + (lv - 1) * n1
+    constants = np.zeros(entry.size)
+    constants[inverse[:n_const]] = const_vals
+    structural = np.zeros(entry.size, dtype=bool)
+    structural[inverse[:n_direct]] = True
+    operator = sp.csr_matrix(
+        (
+            np.concatenate([flux_coef, pair_coef[k] * factor]),
+            (np.concatenate([flux_terms, pair_terms[k]]), inverse[n_const:]),
+        ),
+        shape=(_EDGE_TERMS * ne, entry.size),
+    )
+    return _JacobianTemplate(
+        cols=entry % width - n1,
+        offsets=n1 * np.arange(m)[:, None],
+        constants=constants,
+        operator=operator,
+        structural=structural,
+        prev_level=cls == _PREV,
+        next_level=cls == _NEXT,
+        density_entries=int(np.searchsorted(rows, n1)),
+        row_starts=np.flatnonzero(np.diff(rows, prepend=-1)),
+    )
 
-        # density residual: identity on the next-level density
-        if lv + 1 <= m:
-            add(row_d + idx, (lv - 1) * n1 + idx, ones)
 
-        # density residual: -I + tau * flux derivative on the same level
-        if lv >= 2:
-            c0 = (lv - 2) * n1
-            add(row_d + idx, c0 + idx, -ones)
-            ct = sw * v * p_tail
-            ch = sw * v * p_head
-            er = np.concatenate([g.tail, g.tail, g.head, g.head])
-            ec = np.concatenate([g.tail, g.head, g.tail, g.head])
-            ev = np.concatenate([ct, ch, -ct, -ch])
-            keep = er < n1
-            er, ec, ev = er[keep], ec[keep], ev[keep]
-            direct = ec < n1
-            add(row_d + er[direct], c0 + ec[direct], tau * ev[direct])
-            # a unit increase of any interior density lowers rho_N by one
-            hit_last = ~direct
-            if hit_last.any():
-                add(
-                    row_d + np.repeat(er[hit_last], n1),
-                    c0 + np.tile(idx, int(hit_last.sum())),
-                    -tau * np.repeat(ev[hit_last], n1),
-                )
+def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.csr_matrix:
+    """Exact sparse Jacobian of the residual at x.
 
-        # density residual: velocity derivative d(v*theta)/dv = theta(.,.,v)
-        flux_v = (g.incidence @ sp.diags(sw * th) @ expansion)[:n1].tocoo()
-        add(row_d + flux_v.row, col_v0 + (lv - 1) * n1 + flux_v.col, tau * flux_v.data)
+    Fills the problem's cached template with the edge terms of all M levels
+    at once.  Entries of the identity and density-flux blocks are stored
+    even when zero; entries reached only through the gauge expansion are
+    stored where their value is nonzero.
+    """
+    t = problem._jacobian_template
+    if t is None:
+        t = problem._jacobian_template = _build_jacobian_template(problem)
+    g = problem.graph
+    model = problem.model
+    m = problem.steps
+    n1 = g.node_count - 1
+    sw = g.sqrt_weights
 
-        # velocity residual: identity on the next level
-        add(row_v + idx, col_v0 + lv * n1 + idx, ones)
+    rho, _, ve = level_fields(problem, x)
+    v = ve[:m]
+    rt, rh = rho[:m, g.tail], rho[:m, g.head]
+    th = model.theta_values(rt, rh, v)
+    p_tail, p_head = model.theta_density_partials(rt, rh, v)
+    p_head_own = model.theta_density_partials(rh, rt, -v)[0]
+    a = 2.0 * v * p_tail
+    b = 2.0 * v * p_head_own
+    terms = np.hstack([sw * v * p_tail, sw * v * p_head, sw * th, a, b, b - a])
 
-        # velocity residual: -I + derivative of the kinetic sums
-        add(row_v + idx, col_v0 + (lv - 1) * n1 + idx, -ones)
-        dg = g.tail_matrix @ sp.diags(2.0 * v * p_tail) + g.head_matrix @ sp.diags(
-            2.0 * v * p_head_own
-        )
-        blk = (sel @ dg @ expansion).tocoo()
-        add(row_v + blk.row, col_v0 + (lv - 1) * n1 + blk.col, blk.data)
+    values = t.constants + terms @ t.operator
+    keep = t.structural | (values != 0.0)
+    keep[0, t.prev_level] = False
+    keep[-1, t.next_level] = False
+    cols = t.cols + t.offsets
+    counts = np.add.reduceat(keep, t.row_starts, axis=1, dtype=np.intp)
 
+    d = t.density_entries
+    data = np.concatenate([values[:, :d][keep[:, :d]], values[:, d:][keep[:, d:]]])
+    indices = np.concatenate([cols[:, :d][keep[:, :d]], cols[:, d:][keep[:, d:]]])
+    row_counts = np.concatenate([counts[:, :n1].ravel(), counts[:, n1:].ravel()])
+    indptr = np.concatenate([[0], np.cumsum(row_counts)])
     size = state_size(problem)
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsr()
-    matrix.sum_duplicates()
-    return matrix
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def assemble_jacobian_fd(
@@ -407,6 +525,10 @@ def newton_solve(
                 if np.isfinite(trial_norm) and trial_norm < history[-1]:
                     break
                 alpha *= 0.5
+            else:
+                # no halving lowers the residual: keep the last iterate
+                status = "line_search_failed"
+                break
             x, residual = trial, trial_residual
         else:
             x = x + step

@@ -24,7 +24,7 @@ velocity residuals F_v^1..F_v^M (tree edges).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +74,11 @@ class TransportProblem:
     steps: int
     model: Mobility = ARITHMETIC_MEAN
     tree: SpanningTree | None = None
+    # the Jacobian's per-level template, built by graph_ot.newton on the
+    # first assembly; it depends only on graph, tree and steps
+    _jacobian_template: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = self.graph.node_count

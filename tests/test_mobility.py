@@ -69,7 +69,14 @@ def test_mean_maximum_principle(a, b):
     assert min(a, b) <= th <= max(a, b)
 
 
-@given(densities, densities, st.floats(min_value=1e-3, max_value=1e3))
+# a subnormal density keeps fewer significant bits than rel=1e-15 asks
+# of the scaled mean, so these draws leave subnormals out
+normal_densities = st.floats(
+    min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False
+)
+
+
+@given(normal_densities, normal_densities, st.floats(min_value=1e-3, max_value=1e3))
 def test_mean_positive_homogeneity(a, b, lam):
     assert theta(ARITHMETIC_MEAN, lam * a, lam * b) == pytest.approx(
         lam * theta(ARITHMETIC_MEAN, a, b), rel=1e-15, abs=0.0

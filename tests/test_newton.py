@@ -2,7 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import graph_ot.newton
 from graph_ot import (
     ARITHMETIC_MEAN,
     DimensionMismatchError,
@@ -15,8 +17,11 @@ from graph_ot import (
     assemble_residual,
     build_from_edge_list,
     check_cfl,
+    complete_graph,
     default_initial_guess,
     dumbbell,
+    lattice_1d_periodic,
+    level_fields,
     newton_solve,
     pack,
     seeded_random_density,
@@ -215,6 +220,213 @@ def test_fd_jacobian_matches_analytic(model):
         assert np.abs(ja - jf).max() <= 1e-5 * max(scale, 1.0)
 
 
+def loop_jacobian(problem, x):
+    """Level-by-level assembly with scipy products: the reference for the
+    template assembly, which must store the same pattern."""
+    g, tree, model = problem.graph, problem.tree, problem.model
+    m, tau, sw = problem.steps, problem.tau, g.sqrt_weights
+    n1 = g.node_count - 1
+    rho, _, ve = level_fields(problem, x)
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(np.asarray(r, dtype=np.intp))
+        cols.append(np.asarray(c, dtype=np.intp))
+        vals.append(np.asarray(v, dtype=float))
+
+    idx = np.arange(n1)
+    ones = np.ones(n1)
+    col_v0, row_v0 = (m - 1) * n1, m * n1
+    sel = sp.csr_matrix(
+        (
+            np.concatenate([0.5 * tau * tree.sqrt_weights, -0.5 * tau * tree.sqrt_weights]),
+            (np.concatenate([idx, idx]), np.concatenate([tree.head, tree.tail])),
+        ),
+        shape=(n1, g.node_count),
+    )
+    for lv in range(1, m + 1):
+        r, v = rho[lv - 1], ve[lv - 1]
+        rt, rh = r[g.tail], r[g.head]
+        th = model.theta_values(rt, rh, v)
+        p_tail, p_head = model.theta_density_partials(rt, rh, v)
+        p_head_own = model.theta_density_partials(rh, rt, -v)[0]
+        row_d, row_v = (lv - 1) * n1, row_v0 + (lv - 1) * n1
+        if lv + 1 <= m:
+            add(row_d + idx, (lv - 1) * n1 + idx, ones)
+        if lv >= 2:
+            c0 = (lv - 2) * n1
+            add(row_d + idx, c0 + idx, -ones)
+            ct, ch = sw * v * p_tail, sw * v * p_head
+            er = np.concatenate([g.tail, g.tail, g.head, g.head])
+            ec = np.concatenate([g.tail, g.head, g.tail, g.head])
+            ev = np.concatenate([ct, ch, -ct, -ch])
+            keep = er < n1
+            er, ec, ev = er[keep], ec[keep], ev[keep]
+            direct = ec < n1
+            add(row_d + er[direct], c0 + ec[direct], tau * ev[direct])
+            last = ~direct
+            add(
+                row_d + np.repeat(er[last], n1),
+                c0 + np.tile(idx, int(last.sum())),
+                -tau * np.repeat(ev[last], n1),
+            )
+        flux_v = (g.incidence @ sp.diags(sw * th) @ tree.expansion)[:n1].tocoo()
+        add(row_d + flux_v.row, col_v0 + (lv - 1) * n1 + flux_v.col, tau * flux_v.data)
+        add(row_v + idx, col_v0 + lv * n1 + idx, ones)
+        add(row_v + idx, col_v0 + (lv - 1) * n1 + idx, -ones)
+        dg = g.tail_matrix @ sp.diags(2.0 * v * p_tail) + g.head_matrix @ sp.diags(
+            2.0 * v * p_head_own
+        )
+        blk = (sel @ dg @ tree.expansion).tocoo()
+        add(row_v + blk.row, col_v0 + (lv - 1) * n1 + blk.col, blk.data)
+    size = state_size(problem)
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    ).tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
+def solver_iterates(problem, **config):
+    """Every iterate at which newton_solve assembles a Jacobian."""
+    seen = []
+    assemble = graph_ot.newton.assemble_jacobian_analytic
+
+    def record(p, x):
+        seen.append(np.array(x))
+        return assemble(p, x)
+
+    graph_ot.newton.assemble_jacobian_analytic = record
+    try:
+        newton_solve(problem, config=SolveConfig(**config))
+    finally:
+        graph_ot.newton.assemble_jacobian_analytic = assemble
+    return seen
+
+
+def ring_problem(model=ARITHMETIC_MEAN, steps=6):
+    # the one chord, (7, 8), expands over every tree edge
+    g = lattice_1d_periodic(8, 1.0)
+    return TransportProblem(
+        g, seeded_random_density(8, 2), seeded_random_density(8, 3), steps, model=model
+    )
+
+
+def k8_problem(model=ARITHMETIC_MEAN, steps=4):
+    # node 8 meets every other node, so each density row carries the
+    # dense mass-elimination terms
+    g = complete_graph(8)
+    return TransportProblem(
+        g, seeded_random_density(8, 4), seeded_random_density(8, 5), steps, model=model
+    )
+
+
+@pytest.mark.parametrize(
+    "make, model",
+    [
+        (dumbbell_problem, ARITHMETIC_MEAN),
+        (dumbbell_problem, UPWIND),
+        (ring_problem, ARITHMETIC_MEAN),
+        (ring_problem, UPWIND),
+        (k8_problem, ARITHMETIC_MEAN),
+    ],
+)
+def test_analytic_jacobian_stores_the_loop_pattern(make, model):
+    p = make(model=model)
+    iterates = solver_iterates(p, max_iterations=6)
+    assert len(iterates) >= 3
+    for x in iterates:
+        ref = loop_jacobian(p, x)
+        ja = assemble_jacobian_analytic(p, x)
+        np.testing.assert_array_equal(ja.indptr, ref.indptr)
+        np.testing.assert_array_equal(ja.indices, ref.indices)
+        assert np.abs(ja.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    # the first iterate has v = 0: the flux-density entries are stored zeros
+    assert np.count_nonzero(assemble_jacobian_analytic(p, iterates[0]).data == 0.0)
+
+
+def upwind_iterate(p, rng, ties):
+    """An iterate with mixed-sign velocities at least 1e-3 from zero, or with
+    some tree velocities exactly zero while every other edge stays clear of
+    the upwind switch."""
+    n1 = p.graph.node_count - 1
+    while True:
+        x = default_initial_guess(p) + rng.normal(0.0, 0.05, state_size(p))
+        vel = x[(p.steps - 1) * n1 :].reshape(p.steps + 1, n1)
+        vel[np.abs(vel) < 1e-3] = 1e-3
+        if ties:
+            vel[:, ::3] = 0.0
+        edge = p.tree.expand_velocities(vel)
+        tree_edge = np.diff(p.tree.expansion.indptr) == 1
+        clear = np.abs(edge[:, ~tree_edge]).min() >= 1e-3
+        if clear and (edge > 0).any() and (edge < 0).any():
+            return x
+
+
+@pytest.mark.parametrize(
+    "make, ties",
+    [
+        (lambda: dumbbell_problem(steps=1), False),
+        (lambda: dumbbell_problem(steps=2), False),
+        (lambda: dumbbell_problem(model=UPWIND, steps=1), False),
+        (lambda: dumbbell_problem(model=UPWIND, steps=4), False),
+        (lambda: dumbbell_problem(model=UPWIND, steps=4), True),
+        (k8_problem, False),
+        (lambda: k8_problem(model=UPWIND), False),
+        (ring_problem, False),
+        (lambda: ring_problem(model=UPWIND), False),
+    ],
+    ids=[
+        "M=1",
+        "M=2",
+        "upwind M=1",
+        "upwind mixed signs",
+        "upwind ties",
+        "K8",
+        "K8 upwind",
+        "periodic lattice",
+        "periodic lattice upwind",
+    ],
+)
+def test_analytic_jacobian_matches_fd_edge_cases(make, ties):
+    p = make()
+    rng = np.random.Generator(np.random.PCG64(11))
+    for _ in range(4):
+        if p.model.velocity_dependent:
+            x = upwind_iterate(p, rng, ties)
+        else:
+            x = default_initial_guess(p) + rng.normal(0.0, 0.05, state_size(p))
+        ja = assemble_jacobian_analytic(p, x).toarray()
+        jf = assemble_jacobian_fd(p, x).toarray()
+        scale = max(float(np.abs(ja).max()), 1.0)
+        assert np.abs(ja - jf).max() <= 1e-5 * scale
+
+
+def test_jacobian_template_is_built_once_and_assembly_repeats(monkeypatch):
+    built = []
+    build = graph_ot.newton._build_jacobian_template
+
+    def counting(problem):
+        built.append(problem)
+        return build(problem)
+
+    monkeypatch.setattr(graph_ot.newton, "_build_jacobian_template", counting)
+    p = dumbbell_problem(model=UPWIND)
+    report = newton_solve(p)
+    assert report.iterations >= 2
+    x = pack(p, report.trajectory)
+    first = assemble_jacobian_analytic(p, x)
+    second = assemble_jacobian_analytic(p, x)
+    np.testing.assert_array_equal(first.indptr, second.indptr)
+    np.testing.assert_array_equal(first.indices, second.indices)
+    np.testing.assert_array_equal(first.data, second.data)
+    assert len(built) == 1 and built[0] is p
+    other = dumbbell_problem(model=UPWIND)
+    assemble_jacobian_analytic(other, x)
+    assert len(built) == 2 and built[1] is other
+
+
 def test_fd_jacobian_exact_on_linear_system():
     # the 2-node mean residual is linear, so forward differences are exact
     # up to rounding
@@ -286,6 +498,19 @@ def test_max_iterations_exceeded():
     assert report.status == "max_iterations_exceeded"
     assert report.iterations == 2
     assert report.residual_history.shape == (3,)
+
+
+def test_line_search_failure_keeps_last_iterate():
+    # at a residual of a few 1e-16 no halving of the step lowers it further
+    p = dumbbell_problem()
+    report = newton_solve(
+        p, config=SolveConfig(damping=True, tolerance=1e-30, max_iterations=12)
+    )
+    assert report.status == "line_search_failed"
+    assert not report.converged
+    assert report.iterations < 12
+    assert np.all(np.diff(report.residual_history) < 0.0)
+    assert report.residual_history.shape == (report.iterations + 1,)
 
 
 def test_nonfinite_residual_reported_not_raised():
