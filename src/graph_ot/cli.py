@@ -34,6 +34,8 @@ def _emit_error(exc: BaseException, exit_code: int) -> None:
             "exit_code": exit_code,
         }
     }
+    if isinstance(exc, SingularJacobianError):
+        payload["error"]["rcond"] = exc.rcond
     print(json.dumps(payload), file=sys.stderr)
 
 

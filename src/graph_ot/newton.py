@@ -1,19 +1,26 @@
 """Newton solver for the discrete geodesic residual.
 
-The residual couples at most two consecutive time levels, so the Jacobian is
-block bidiagonal in time and a sparse direct LU factorization solves each
-Newton step in essentially linear time.  Every level holds the same entries,
-shifted by N-1 rows and columns, and they depend only on the graph, the
-spanning tree and M.  The first analytic assembly of a problem therefore
-builds one level's entries as a template, cached on the TransportProblem,
-with a sparse operator from six per-edge terms to the entry values.  Each
-assembly evaluates those terms for all M levels as (M, E) arrays and lays
-the levels out in CSR order in one vectorized pass.
+The residual uses the explicit left-rectangle rule: residual level l couples
+only time levels l and l+1, and its coefficient on level l+1 is the
+identity.  Once the first-level tree velocities v^1 are fixed, a Newton step
+is a forward sweep in time.  Each step is therefore solved by block
+elimination in time, the condensing step of multiple shooting.  In time
+order, the columns of levels 2..M+1 against every row but the terminal
+density rows form a lower triangular block, factored without fill; the
+(N-1) x (N-1) Schur complement on v^1 is factored densely.
+
+The analytic Jacobian has the same entries at every level, shifted by N-1
+rows and columns, and they depend only on the graph, the spanning tree and
+M.  The first analytic assembly of a problem therefore builds one level's
+entries as a template, cached on the TransportProblem, with a sparse
+operator from six per-edge terms to the entry values.  Each assembly
+evaluates those terms for all M levels as (M, E) arrays and lays the levels
+out in CSR order in one vectorized pass.
 
 Three Jacobian modes are offered: exact analytic assembly, a forward
 finite-difference assembly that exploits the same level-local sparsity, and
 a chord mode that factors the analytic Jacobian once at the initial iterate
-and reuses it.
+and reuses it.  All three solve through the same block elimination.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -99,8 +107,8 @@ class SolveReport:
     the tolerance.  ``cfl_margin`` is the worst local margin
     1 - tau * sum sqrt(w) v^+ over nodes and the M update levels (relevant
     for the upwind model).  ``jacobian_rcond`` is a reciprocal-condition
-    estimate from the first factored Jacobian, None when no factorization
-    happened.
+    estimate from the first factored Jacobian, 0 when its factorization met
+    a zero pivot, None when no factorization happened.
     """
 
     trajectory: Trajectory
@@ -427,17 +435,134 @@ def assemble_jacobian_fd(
 # -- linear algebra helpers --------------------------------------------------
 
 
-def _factor(matrix: sp.csr_matrix):
-    try:
-        return spla.splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise SingularJacobianError(
-            f"Jacobian factorization failed: {exc}"
-        ) from exc
+# largest dense block of A12^-1 A11 held at once while forming the Schur
+# complement; the full block is (2M-1)(N-1) x (N-1)
+_SCHUR_CHUNK_BYTES = 32 * 2**20
+
+# LAPACK's LU without scipy.linalg.lu_factor's warning on a zero pivot
+_getrf = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
 
 
-def _rcond_estimate(matrix: sp.csr_matrix, lu) -> float | None:
-    """1 / (norm1(J) * est(norm1(J^-1))) from the existing factorization."""
+def _time_order(m: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column orders (new position -> old index) that split J in time.
+
+    Rows run F_rho^1, F_v^1, ..., F_rho^{M-1}, F_v^{M-1}, F_v^M, with the
+    terminal rows F_rho^M last; columns run v^1, then rho^l, v^l for
+    l = 2..M, then v^{M+1}.
+    """
+    block = n1 * np.arange(m + 1)[:, None] + np.arange(n1)
+    rho_rows, v_rows = block[:m], m * n1 + block[:m]
+    rows = np.concatenate(
+        [np.stack([rho_rows[:-1], v_rows[:-1]], axis=1).ravel(), v_rows[-1], rho_rows[-1]]
+    )
+    rho_cols, v_cols = block[: m - 1], (m - 1) * n1 + block
+    cols = np.concatenate(
+        [v_cols[0], np.stack([rho_cols, v_cols[1:m]], axis=1).ravel(), v_cols[m]]
+    )
+    return rows, cols
+
+
+class _CondensedFactor:
+    """Block elimination of the Newton matrix in time.
+
+    In the order of ``_time_order`` the Jacobian is [[A11, A12], [A21, A22]]
+    with A12 square and lower triangular: each residual level touches only
+    its own level and the next, whose coefficient is the identity.  Once the
+    first-level tree velocities v^1 are fixed, the system is a forward sweep
+    in time.  A12 is factored as it stands, without fill, and the (N-1) x
+    (N-1) Schur complement K = A21 - A22 A12^-1 A11 densely.
+
+    An exactly zero column of K makes J exactly singular and raises
+    SingularJacobianError with rcond 0.  Any other zero pivot of K, or a
+    non-finite K, leaves the factor ``singular``: every solve then returns
+    NaN, so the step is reported as non-finite instead of raised.
+    """
+
+    def __init__(self, problem: TransportProblem, matrix: sp.spmatrix):
+        m = problem.steps
+        n1 = problem.graph.node_count - 1
+        size = 2 * m * n1
+        self.rows, self.cols = _time_order(m, n1)
+        top = size - n1
+        coo = matrix.tocoo()
+        # argsort inverts a permutation: old index -> new position
+        r, c = np.argsort(self.rows)[coo.row], np.argsort(self.cols)[coo.col]
+
+        def block(keep, row0, col0, shape):
+            entries = (coo.data[keep], (r[keep] - row0, c[keep] - col0))
+            return sp.csc_matrix(entries, shape=shape)
+
+        upper, left = r < top, c < n1
+        self.a11 = block(upper & left, 0, 0, (top, n1))
+        a12 = block(upper & ~left, 0, n1, (top, top))
+        a21 = block(~upper & left, top, 0, (n1, n1))
+        self.a22 = block(~upper & ~left, top, n1, (n1, top))
+        try:
+            # natural order with diagonal pivots keeps the triangle: no fill
+            self.a12_lu = spla.splu(
+                a12,
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:
+            raise SingularJacobianError(
+                f"Jacobian factorization failed: {exc}"
+            ) from exc
+
+        schur = a21.toarray()
+        chunk = max(1, _SCHUR_CHUNK_BYTES // (8 * top))
+        for j in range(0, n1, chunk):
+            columns = self.a11[:, j : j + chunk].toarray()
+            schur[:, j : j + chunk] -= self.a22 @ self.a12_lu.solve(columns)
+
+        zero_columns = np.flatnonzero(~schur.any(axis=0))
+        if zero_columns.size:
+            raise SingularJacobianError(
+                f"Jacobian is exactly singular: {zero_columns.size} of {n1} "
+                "Schur-complement columns are zero",
+                rcond=0.0,
+            )
+        self.singular = not np.isfinite(schur).all()
+        if not self.singular:
+            self.schur, self.pivots, info = _getrf(schur, overwrite_a=True)
+            self.singular = info != 0
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """J^-1 b, or J^-T b for ``trans="T"``; b may hold several columns."""
+        b = np.asarray(b, dtype=float)
+        if self.singular:
+            return np.full(b.shape, np.nan)
+        n1 = self.a11.shape[1]
+        x = np.empty_like(b)
+        if trans == "N":
+            c = b[self.rows]
+            head, tail = c[:-n1], c[-n1:]
+            y1 = self._schur_solve(tail - self.a22 @ self.a12_lu.solve(head), 0)
+            y2 = self.a12_lu.solve(head - self.a11 @ y1)
+            x[self.cols] = np.concatenate([y1, y2])
+        else:
+            d = b[self.cols]
+            head, tail = d[:n1], d[n1:]
+            z = self.a12_lu.solve(tail, trans="T")
+            w2 = self._schur_solve(head - self.a11.T @ z, 1)
+            w1 = self.a12_lu.solve(tail - self.a22.T @ w2, trans="T")
+            x[self.rows] = np.concatenate([w1, w2])
+        return x
+
+    def _schur_solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+        return scipy.linalg.lu_solve(
+            (self.schur, self.pivots), b, trans=trans, check_finite=False
+        )
+
+
+def _rcond_estimate(matrix: sp.csr_matrix, lu: _CondensedFactor) -> float | None:
+    """1 / (norm1(J) * est(norm1(J^-1))) from the existing factorization.
+
+    A factor with a zero pivot has found J singular: 0.
+    """
+    if lu.singular:
+        return 0.0
     try:
         norm1 = spla.norm(matrix, 1)
         if norm1 == 0.0:
@@ -469,8 +594,8 @@ def newton_solve(
 
     Stops when the Euclidean residual norm drops below the tolerance or the
     iteration budget is exhausted.  Divergence and non-finite residuals are
-    reported through the status, never raised; a failed factorization
-    raises SingularJacobianError.
+    reported through the status, never raised; an exactly singular Jacobian
+    raises SingularJacobianError with rcond 0.
     """
     if config is None:
         config = SolveConfig()
@@ -503,7 +628,7 @@ def newton_solve(
         if config.jacobian == "chord":
             if chord_lu is None:
                 matrix = assemble_jacobian_analytic(problem, x)
-                chord_lu = _factor(matrix)
+                chord_lu = _CondensedFactor(problem, matrix)
                 rcond = _rcond_estimate(matrix, chord_lu)
             lu = chord_lu
         else:
@@ -511,7 +636,7 @@ def newton_solve(
                 matrix = assemble_jacobian_fd(problem, x, config.fd_step)
             else:
                 matrix = assemble_jacobian_analytic(problem, x)
-            lu = _factor(matrix)
+            lu = _CondensedFactor(problem, matrix)
             if rcond is None:
                 rcond = _rcond_estimate(matrix, lu)
 

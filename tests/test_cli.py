@@ -183,6 +183,7 @@ def test_singular_jacobian_exit_code(tmp_path, capsys):
     error = stderr_error(capsys)
     assert error["type"] == "SingularJacobianError"
     assert error["exit_code"] == 3
+    assert error["rcond"] == 0.0
 
 
 # -- logging ------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import graph_ot.newton
 from graph_ot import (
@@ -20,6 +21,7 @@ from graph_ot import (
     complete_graph,
     default_initial_guess,
     dumbbell,
+    gaussian_density_1d,
     lattice_1d_periodic,
     level_fields,
     newton_solve,
@@ -27,6 +29,7 @@ from graph_ot import (
     seeded_random_density,
     state_size,
 )
+from graph_ot.newton import _CondensedFactor
 
 
 def two_node_problem(model=ARITHMETIC_MEAN, steps=16):
@@ -364,7 +367,16 @@ def upwind_iterate(p, rng, ties):
             return x
 
 
-@pytest.mark.parametrize(
+def edge_case_iterates(p, ties, count=4):
+    rng = np.random.Generator(np.random.PCG64(11))
+    for _ in range(count):
+        if p.model.velocity_dependent:
+            yield upwind_iterate(p, rng, ties)
+        else:
+            yield default_initial_guess(p) + rng.normal(0.0, 0.05, state_size(p))
+
+
+edge_cases = pytest.mark.parametrize(
     "make, ties",
     [
         (lambda: dumbbell_problem(steps=1), False),
@@ -389,18 +401,80 @@ def upwind_iterate(p, rng, ties):
         "periodic lattice upwind",
     ],
 )
+
+
+@edge_cases
 def test_analytic_jacobian_matches_fd_edge_cases(make, ties):
     p = make()
-    rng = np.random.Generator(np.random.PCG64(11))
-    for _ in range(4):
-        if p.model.velocity_dependent:
-            x = upwind_iterate(p, rng, ties)
-        else:
-            x = default_initial_guess(p) + rng.normal(0.0, 0.05, state_size(p))
+    for x in edge_case_iterates(p, ties):
         ja = assemble_jacobian_analytic(p, x).toarray()
         jf = assemble_jacobian_fd(p, x).toarray()
         scale = max(float(np.abs(ja).max()), 1.0)
         assert np.abs(ja - jf).max() <= 1e-5 * scale
+
+
+@edge_cases
+def test_condensed_factor_matches_full_lu(make, ties, monkeypatch):
+    p = make()
+    size = state_size(p)
+    top = size - (p.graph.node_count - 1)
+    rng = np.random.Generator(np.random.PCG64(12))
+    for x in edge_case_iterates(p, ties, count=3):
+        for matrix in (assemble_jacobian_analytic(p, x), assemble_jacobian_fd(p, x)):
+            factors = [_CondensedFactor(p, matrix)]
+            with monkeypatch.context() as patch:
+                # the Schur complement built two columns at a time
+                patch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 16 * top)
+                factors.append(_CondensedFactor(p, matrix))
+            full = spla.splu(matrix.tocsc())
+            for b in (rng.normal(size=size), rng.normal(size=(size, 3))):
+                for trans in ("N", "T"):
+                    want = full.solve(b, trans=trans)
+                    for factor in factors:
+                        got = factor.solve(b, trans=trans)
+                        assert got.shape == b.shape
+                        gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+                        assert gap <= 1e-10, (trans, gap)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: two_node_problem(steps=4),
+        dumbbell_problem,
+        lambda: dumbbell_problem(model=UPWIND),
+        ring_problem,
+        k8_problem,
+    ],
+    ids=["two nodes", "dumbbell", "dumbbell upwind", "periodic lattice", "K8"],
+)
+def test_rcond_estimate_bounds_the_exact_value(make):
+    p = make()
+    jacobian = assemble_jacobian_analytic(p, default_initial_guess(p)).toarray()
+    exact = 1.0 / (
+        np.linalg.norm(jacobian, 1) * np.linalg.norm(np.linalg.inv(jacobian), 1)
+    )
+    np.random.seed(5)  # onenormest draws from numpy's global generator
+    rcond = newton_solve(p).jacobian_rcond
+    assert exact * (1.0 - 1e-12) <= rcond <= 3.0 * exact
+
+
+def test_splu_factors_only_the_triangular_block(monkeypatch):
+    shapes = []
+    splu = spla.splu
+
+    def recording(matrix, **kwargs):
+        shapes.append(matrix.shape)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(graph_ot.newton.spla, "splu", recording)
+    for config in (SolveConfig(), SolveConfig(jacobian="fd"), SolveConfig(jacobian="chord")):
+        p = dumbbell_problem()
+        report = newton_solve(p, config=config)
+        assert report.converged
+        top = state_size(p) - (p.graph.node_count - 1)
+        assert shapes and set(shapes) == {(top, top)}
+        shapes.clear()
 
 
 def test_jacobian_template_is_built_once_and_assembly_repeats(monkeypatch):
@@ -487,8 +561,22 @@ def test_singular_jacobian_is_raised():
     # gives a structurally zero column
     g = build_from_edge_list([(1, 2, 1.0)])
     p = TransportProblem(g, np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1, model=UPWIND)
-    with pytest.raises(SingularJacobianError):
+    with pytest.raises(SingularJacobianError) as exc:
         newton_solve(p, x0=np.zeros(2))
+    assert exc.value.rcond == 0.0
+
+
+def test_far_apart_pair_diverges_without_raising():
+    # at velocities near 1e5 the Schur complement's entries reach 1e144 and
+    # its pivots cancel; the step must come out non-finite, not raise
+    g = lattice_1d_periodic(64, 4.0, -1.0)
+    mu = gaussian_density_1d(g, 15.0, 0.0, 1e-6)
+    nu = gaussian_density_1d(g, 15.0, 2.0, 1e-6)
+    p = TransportProblem(g, mu, nu, 32)
+    with np.errstate(all="ignore"):
+        report = newton_solve(p)
+    assert report.status == "nonfinite_residual"
+    assert not report.converged
 
 
 def test_max_iterations_exceeded():
