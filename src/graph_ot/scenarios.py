@@ -9,11 +9,13 @@ bitwise through the writer and reader.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -77,7 +79,8 @@ class ScenarioSpec:
     """Everything needed to run one scenario.
 
     Unset fields fall back to per-scenario defaults; at most one graph
-    source and one density source per endpoint may be set.
+    source and one density source per endpoint may be set, and only sources
+    the scenario takes.
     """
 
     scenario: str
@@ -103,8 +106,7 @@ class ScenarioSpec:
     jacobian: str = "analytic"
     tolerance: float = 1e-10
     max_iterations: int = 100
-    # None means the per-scenario default (off everywhere except benchmark-2d,
-    # whose concentrated endpoint profiles sit far from the linear-path guess)
+    # None means the per-scenario default (see SCENARIOS)
     damping: bool | None = None
     tree_files: tuple[str, ...] = ()
     threshold: float | None = None
@@ -179,36 +181,85 @@ def read_density_file(
 
 # -- source resolution ---------------------------------------------------------
 
+# the CLI flag of each graph and density source field of ScenarioSpec
+_GRAPH_FLAGS = {
+    "graph_file": "--graph",
+    "lattice1d": "--lattice1d",
+    "lattice2d": "--lattice2d",
+    "dumbbell_sizes": "--dumbbell",
+    "complete": "--complete",
+}
+_DENSITY_FLAGS = {
+    f"{end}_{kind}": f"--{end}" if kind == "file" else f"--{end}-{kind}"
+    for end in ("mu", "nu")
+    for kind in ("file", "gauss1d", "gauss2d", "random", "uniform")
+}
+_SOURCE_FLAGS = {**_GRAPH_FLAGS, **_DENSITY_FLAGS}
 
-def _resolve_graph(spec: ScenarioSpec) -> tuple[WeightedGraph | None, dict]:
-    """Build the user-selected graph, or None when no source was given."""
-    sources = [
-        spec.graph_file is not None,
-        spec.lattice1d is not None,
-        spec.lattice2d is not None,
-        spec.dumbbell_sizes is not None,
-        spec.complete is not None,
-    ]
-    if sum(sources) > 1:
+
+def _given(spec: ScenarioSpec, name: str) -> bool:
+    value = getattr(spec, name)
+    return value is not None and value is not False
+
+
+def _origin(spec: ScenarioSpec, default: float) -> float:
+    return default if spec.origin is None else spec.origin
+
+
+def _lattice1d(n, length, origin) -> tuple[WeightedGraph, dict]:
+    g = lattice_1d_periodic(int(n), float(length), origin)
+    return g, {"kind": "lattice1d", "grid_points": int(n), "length": float(length), "origin": origin}
+
+
+def _lattice2d(n, side, origin) -> tuple[WeightedGraph, dict]:
+    g = lattice_2d_periodic(int(n), int(n), float(side), origin)
+    return g, {"kind": "lattice2d", "points_per_side": int(n), "side": float(side), "origin": origin}
+
+
+def _dumbbell(left, right) -> tuple[WeightedGraph, dict]:
+    return dumbbell(int(left), int(right)), {"kind": "dumbbell", "left": int(left), "right": int(right)}
+
+
+def _complete(n) -> tuple[WeightedGraph, dict]:
+    return complete_graph(int(n)), {"kind": "complete", "node_count": int(n)}
+
+
+def _resolve_graph(spec: ScenarioSpec, default) -> tuple[WeightedGraph, dict]:
+    """Build the user-selected graph, or the scenario's ``default(spec)``."""
+    if sum(_given(spec, name) for name in _GRAPH_FLAGS) > 1:
         raise InputFormatError("give at most one graph source")
     if spec.graph_file is not None:
         return read_edge_list(spec.graph_file), {"kind": "file", "path": spec.graph_file}
     if spec.lattice1d is not None:
-        n, length = spec.lattice1d
-        origin = 0.0 if spec.origin is None else spec.origin
-        g = lattice_1d_periodic(int(n), float(length), origin)
-        return g, {"kind": "lattice1d", "grid_points": int(n), "length": float(length), "origin": origin}
+        return _lattice1d(*spec.lattice1d, _origin(spec, 0.0))
     if spec.lattice2d is not None:
-        n, side = spec.lattice2d
-        origin = 0.0 if spec.origin is None else spec.origin
-        g = lattice_2d_periodic(int(n), int(n), float(side), origin)
-        return g, {"kind": "lattice2d", "points_per_side": int(n), "side": float(side), "origin": origin}
+        return _lattice2d(*spec.lattice2d, _origin(spec, 0.0))
     if spec.dumbbell_sizes is not None:
-        left, right = spec.dumbbell_sizes
-        return dumbbell(int(left), int(right)), {"kind": "dumbbell", "left": int(left), "right": int(right)}
+        return _dumbbell(*spec.dumbbell_sizes)
     if spec.complete is not None:
-        return complete_graph(int(spec.complete)), {"kind": "complete", "node_count": int(spec.complete)}
-    return None, {}
+        return _complete(spec.complete)
+    if default is None:
+        raise InputFormatError(f"scenario {spec.scenario!r} needs a graph source")
+    return default(spec)
+
+
+def _gauss1d(graph: WeightedGraph, a, b, r) -> tuple[np.ndarray, dict]:
+    return gaussian_density_1d(graph, a, b, r), {"kind": "gauss1d", "a": a, "b": b, "r": r}
+
+
+def _gauss2d(graph: WeightedGraph, a, c, b, d, w, eps) -> tuple[np.ndarray, dict]:
+    return (
+        gaussian_density_2d(graph, a, c, b, d, w, eps),
+        {"kind": "gauss2d", "a": a, "c": c, "b": b, "d": d, "w": w, "eps": eps},
+    )
+
+
+def _random(graph: WeightedGraph, seed: int) -> tuple[np.ndarray, dict]:
+    return seeded_random_density(graph.node_count, seed), {"kind": "random", "seed": seed}
+
+
+def _uniform(graph: WeightedGraph) -> tuple[np.ndarray, dict]:
+    return uniform_density(graph.node_count), {"kind": "uniform"}
 
 
 def _resolve_density(
@@ -229,34 +280,45 @@ def _resolve_density(
             {"kind": "file", "path": file_},
         )
     if gauss1d is not None:
-        a, b, r = gauss1d
-        return gaussian_density_1d(graph, a, b, r), {"kind": "gauss1d", "a": a, "b": b, "r": r}
+        return _gauss1d(graph, *gauss1d)
     if gauss2d is not None:
-        a, c, b, d, w, eps = gauss2d
-        return (
-            gaussian_density_2d(graph, a, c, b, d, w, eps),
-            {"kind": "gauss2d", "a": a, "c": c, "b": b, "d": d, "w": w, "eps": eps},
-        )
+        return _gauss2d(graph, *gauss2d)
     if random_:
         # mu and nu draw from different seeded streams so they differ
-        seed = spec.seed if endpoint == "mu" else spec.seed + 1
-        return seeded_random_density(graph.node_count, seed), {"kind": "random", "seed": seed}
+        return _random(graph, spec.seed if endpoint == "mu" else spec.seed + 1)
     if uniform:
-        return uniform_density(graph.node_count), {"kind": "uniform"}
+        return _uniform(graph)
     return None, {}
 
 
-def _resolve_tree(
-    spec: ScenarioSpec, graph: WeightedGraph
-) -> tuple[SpanningTree | None, dict]:
-    if not spec.tree_files:
-        return None, {"kind": "kruskal"}
-    if len(spec.tree_files) > 1:
+def _map_densities(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    geom = graph.geometry
+    if not isinstance(geom, Lattice1D) or geom.length != 1.0:
+        raise InputFormatError("map-benchmark needs a 1-d lattice over [0, 1]")
+    return benchmark_1d_map_densities(graph)
+
+
+def _resolve_trees(
+    spec: ScenarioSpec, several: bool, graph: WeightedGraph, graph_src: dict
+) -> tuple[list[SpanningTree | None], dict]:
+    """The gauge trees to solve under; None stands for the Kruskal default."""
+    paths = spec.tree_files
+    if several:
+        if paths:
+            return [read_tree_file(p, graph) for p in paths], {"kind": "files", "paths": list(paths)}
+        if graph_src["kind"] == "five-node-example":
+            trees = [SpanningTree(graph, edges) for edges in _FIVE_NODE_TREES]
+            return trees, {"kind": "five-node-default-trees"}
+        raise InputFormatError(
+            f"{spec.scenario} on a custom graph needs at least one --tree file"
+        )
+    if len(paths) > 1:
         raise InputFormatError(
             f"scenario {spec.scenario!r} accepts a single --tree"
         )
-    path = spec.tree_files[0]
-    return read_tree_file(path, graph), {"kind": "file", "path": path}
+    if paths:
+        return [read_tree_file(paths[0], graph)], {"kind": "file", "path": paths[0]}
+    return [None], {"kind": "kruskal"}
 
 
 # -- artifact document ---------------------------------------------------------
@@ -282,47 +344,63 @@ def _geometry_block(graph: WeightedGraph) -> dict | None:
     return None
 
 
-def _graph_block(graph: WeightedGraph) -> dict:
+def _solve_document(
+    spec: ScenarioSpec,
+    resolved: dict,
+    damping: bool,
+    problem: TransportProblem,
+    report: SolveReport,
+    wall_time: float,
+) -> dict:
+    """The artifact document of one solve, without extras and exit code."""
+    graph, trajectory = problem.graph, report.trajectory
     return {
-        "node_count": graph.node_count,
-        "edge_count": graph.edge_count,
-        "edges": [list(e) for e in graph.edges],
-        "weights": graph.weights.tolist(),
-        "geometry": _geometry_block(graph),
-    }
-
-
-def _solver_block(report: SolveReport, wall_time: float) -> dict:
-    return {
-        "status": report.status,
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "residual_history": report.residual_history.tolist(),
-        "positivity_ok": report.positivity_ok,
-        "cfl_margin": report.cfl_margin,
-        "jacobian_rcond": report.jacobian_rcond,
-        "wall_time_seconds": wall_time,
-    }
-
-
-def _metrics_block(problem: TransportProblem, report: SolveReport) -> dict:
-    trajectory = report.trajectory
-    return {
-        "w2_action": report.w2_action,
-        "w2_initial": report.w2_initial,
-        "w2": float(np.sqrt(max(report.w2_action, 0.0))),
-        "hamiltonian_drift": hamiltonian_drift(
-            trajectory, problem.graph, problem.model
-        ),
-    }
-
-
-def _trajectory_block(trajectory: Trajectory) -> dict:
-    return {
-        "times": trajectory.times.tolist(),
-        "densities": trajectory.densities.tolist(),
-        "tree_velocities": trajectory.tree_velocities.tolist(),
-        "edge_velocities": trajectory.edge_velocities.tolist(),
+        "schema": ARTIFACT_SCHEMA,
+        "scenario": spec.scenario,
+        "config": {
+            "scenario": spec.scenario,
+            "steps": problem.steps,
+            "tau": problem.tau,
+            "theta": problem.model.kind,
+            "jacobian": spec.jacobian,
+            "tolerance": spec.tolerance,
+            "max_iterations": spec.max_iterations,
+            "damping": damping,
+            "seed": spec.seed,
+            "threshold": spec.threshold,
+            "normalize": spec.normalize,
+            **resolved,
+        },
+        "graph": {
+            "node_count": graph.node_count,
+            "edge_count": graph.edge_count,
+            "edges": [list(e) for e in graph.edges],
+            "weights": graph.weights.tolist(),
+            "geometry": _geometry_block(graph),
+        },
+        "tree_edges": [list(e) for e in problem.tree.tree_edges],
+        "solver": {
+            "status": report.status,
+            "converged": report.converged,
+            "iterations": report.iterations,
+            "residual_history": report.residual_history.tolist(),
+            "positivity_ok": report.positivity_ok,
+            "cfl_margin": report.cfl_margin,
+            "jacobian_rcond": report.jacobian_rcond,
+            "wall_time_seconds": wall_time,
+        },
+        "metrics": {
+            "w2_action": report.w2_action,
+            "w2_initial": report.w2_initial,
+            "w2": float(np.sqrt(max(report.w2_action, 0.0))),
+            "hamiltonian_drift": hamiltonian_drift(trajectory, graph, problem.model),
+        },
+        "trajectory": {
+            "times": trajectory.times.tolist(),
+            "densities": trajectory.densities.tolist(),
+            "tree_velocities": trajectory.tree_velocities.tolist(),
+            "edge_velocities": trajectory.edge_velocities.tolist(),
+        },
     }
 
 
@@ -359,426 +437,209 @@ def _classify(reports: list[SolveReport]) -> int:
     return EXIT_OK
 
 
-def _resolve_damping(spec: ScenarioSpec, scenario_default: bool = False) -> bool:
-    return scenario_default if spec.damping is None else spec.damping
+# -- extras hooks ----------------------------------------------------------------
+#
+# Each takes the spec, the resolved source blocks and the solves, one
+# (problem, report, wall time) per gauge tree, and returns the extras block.
 
 
-def _config_block(
-    spec: ScenarioSpec, problem: TransportProblem, resolved: dict, damping: bool
-) -> dict:
+def _results_row(solves: list, lattice: type, map_error: float | None = None) -> dict:
+    problem, report, wall_time = solves[0]
+    geom = problem.graph.geometry
     return {
-        "scenario": spec.scenario,
-        "steps": problem.steps,
-        "tau": problem.tau,
-        "theta": problem.model.kind,
-        "jacobian": spec.jacobian,
-        "tolerance": spec.tolerance,
-        "max_iterations": spec.max_iterations,
-        "damping": damping,
-        "seed": spec.seed,
-        "threshold": spec.threshold,
-        "normalize": spec.normalize,
-        **resolved,
+        "dx": geom.spacing if isinstance(geom, lattice) else None,
+        "w2": float(np.sqrt(max(report.w2_action, 0.0))),
+        "map_error": map_error,
+        "wall_time_seconds": wall_time,
     }
 
 
-def _solve_document(
-    spec: ScenarioSpec,
-    problem: TransportProblem,
-    resolved: dict,
-    extras: dict | None = None,
-    damping_default: bool = False,
-) -> tuple[SolveReport, dict, float]:
-    damping = _resolve_damping(spec, damping_default)
-    config = SolveConfig(
-        tolerance=spec.tolerance,
-        max_iterations=spec.max_iterations,
-        jacobian=spec.jacobian,
-        damping=damping,
-    )
-    start = time.monotonic()
-    report = newton_solve(problem, config=config)
-    wall_time = time.monotonic() - start
-    document = {
-        "schema": ARTIFACT_SCHEMA,
-        "scenario": spec.scenario,
-        "config": _config_block(spec, problem, resolved, damping),
-        "graph": _graph_block(problem.graph),
-        "tree_edges": [list(e) for e in problem.tree.tree_edges],
-        "solver": _solver_block(report, wall_time),
-        "metrics": _metrics_block(problem, report),
-        "trajectory": _trajectory_block(report.trajectory),
-    }
-    if extras:
-        document["extras"] = extras
-    return report, document, wall_time
-
-
-# -- scenario handlers ----------------------------------------------------------
-
-
-def _default_model(spec: ScenarioSpec, fallback: str = "mean"):
-    return get_mobility(spec.theta if spec.theta is not None else fallback)
-
-
-def _seeded_endpoints(spec: ScenarioSpec, graph: WeightedGraph):
-    mu, mu_src = _resolve_density(spec, graph, "mu")
-    nu, nu_src = _resolve_density(spec, graph, "nu")
-    if mu is None:
-        mu = seeded_random_density(graph.node_count, spec.seed)
-        mu_src = {"kind": "random", "seed": spec.seed}
-    if nu is None:
-        nu = seeded_random_density(graph.node_count, spec.seed + 1)
-        nu_src = {"kind": "random", "seed": spec.seed + 1}
-    return mu, nu, {"mu_source": mu_src, "nu_source": nu_src}
-
-
-def _run_solve(spec: ScenarioSpec) -> ScenarioRun:
-    graph, graph_src = _resolve_graph(spec)
-    if graph is None:
-        raise InputFormatError("scenario 'solve' needs a graph source")
-    mu, mu_src = _resolve_density(spec, graph, "mu")
-    nu, nu_src = _resolve_density(spec, graph, "nu")
-    if mu is None or nu is None:
-        raise InputFormatError("scenario 'solve' needs both --mu and --nu sources")
-    tree, tree_src = _resolve_tree(spec, graph)
-    problem = TransportProblem(
-        graph, mu, nu, spec.steps or 32, model=_default_model(spec), tree=tree
-    )
-    resolved = {
-        "graph_source": graph_src,
-        "mu_source": mu_src,
-        "nu_source": nu_src,
-        "tree_source": tree_src,
-    }
-    report, document, _ = _solve_document(spec, problem, resolved)
-    return _finish(spec, document, [report])
-
-
-def _run_benchmark_1d(spec: ScenarioSpec) -> ScenarioRun:
-    graph, graph_src = _resolve_graph(spec)
-    if graph is None:
-        origin = -1.0 if spec.origin is None else spec.origin
-        graph = lattice_1d_periodic(64, 4.0, origin)
-        graph_src = {"kind": "lattice1d", "grid_points": 64, "length": 4.0, "origin": origin}
-    mu, mu_src = _resolve_density(spec, graph, "mu")
-    nu, nu_src = _resolve_density(spec, graph, "nu")
-    if mu is None:
-        mu = gaussian_density_1d(graph, 15.0, 1.4, 1e-4)
-        mu_src = {"kind": "gauss1d", "a": 15.0, "b": 1.4, "r": 1e-4}
-    if nu is None:
-        nu = gaussian_density_1d(graph, 15.0, 1.7, 1e-4)
-        nu_src = {"kind": "gauss1d", "a": 15.0, "b": 1.7, "r": 1e-4}
-    tree, tree_src = _resolve_tree(spec, graph)
-    problem = TransportProblem(
-        graph, mu, nu, spec.steps or 32, model=_default_model(spec), tree=tree
-    )
-    resolved = {
-        "graph_source": graph_src,
-        "mu_source": mu_src,
-        "nu_source": nu_src,
-        "tree_source": tree_src,
-    }
-    report, document, wall_time = _solve_document(spec, problem, resolved)
-    geom = graph.geometry
-    document["extras"] = {
-        "results_row": {
-            "dx": geom.spacing if isinstance(geom, Lattice1D) else None,
-            "w2": float(np.sqrt(max(report.w2_action, 0.0))),
-            "map_error": None,
-            "wall_time_seconds": wall_time,
-        }
-    }
-    return _finish(spec, document, [report])
-
-
-def _run_benchmark_2d(spec: ScenarioSpec) -> ScenarioRun:
-    graph, graph_src = _resolve_graph(spec)
-    if graph is None:
-        # desk-scale default; pass --lattice2d 64 4.0 for the full-size run
-        origin = -1.0 if spec.origin is None else spec.origin
-        graph = lattice_2d_periodic(16, 16, 4.0, origin)
-        graph_src = {"kind": "lattice2d", "points_per_side": 16, "side": 4.0, "origin": origin}
-    mu, mu_src = _resolve_density(spec, graph, "mu")
-    nu, nu_src = _resolve_density(spec, graph, "nu")
-    if mu is None:
-        mu = gaussian_density_2d(graph, 10.0, 10.0, 0.5, 1.5, 1.0, 1e-4)
-        mu_src = {"kind": "gauss2d", "a": 10.0, "c": 10.0, "b": 0.5, "d": 1.5, "w": 1.0, "eps": 1e-4}
-    if nu is None:
-        nu = gaussian_density_2d(graph, 10.0, 10.0, 1.5, 1.3, 1.0, 1e-4)
-        nu_src = {"kind": "gauss2d", "a": 10.0, "c": 10.0, "b": 1.5, "d": 1.3, "w": 1.0, "eps": 1e-4}
-    tree, tree_src = _resolve_tree(spec, graph)
-    problem = TransportProblem(
-        graph, mu, nu, spec.steps or 16, model=_default_model(spec), tree=tree
-    )
-    resolved = {
-        "graph_source": graph_src,
-        "mu_source": mu_src,
-        "nu_source": nu_src,
-        "tree_source": tree_src,
-    }
-    report, document, wall_time = _solve_document(
-        spec, problem, resolved, damping_default=True
-    )
-    geom = graph.geometry
-    document["extras"] = {
-        "results_row": {
-            "dx": geom.spacing if isinstance(geom, Lattice2D) else None,
-            "w2": float(np.sqrt(max(report.w2_action, 0.0))),
-            "map_error": None,
-            "wall_time_seconds": wall_time,
-        }
-    }
-    return _finish(spec, document, [report])
-
-
-def _run_map_benchmark(spec: ScenarioSpec) -> ScenarioRun:
-    graph, graph_src = _resolve_graph(spec)
-    if graph is None:
-        graph = lattice_1d_periodic(128, 1.0, 0.0)
-        graph_src = {"kind": "lattice1d", "grid_points": 128, "length": 1.0, "origin": 0.0}
-    geom = graph.geometry
-    if not isinstance(geom, Lattice1D) or geom.length != 1.0:
-        raise InputFormatError("map-benchmark needs a 1-d lattice over [0, 1]")
-    mu, nu = benchmark_1d_map_densities(graph)
-    tree, tree_src = _resolve_tree(spec, graph)
-    problem = TransportProblem(
-        graph, mu, nu, spec.steps or 64, model=_default_model(spec), tree=tree
-    )
-    resolved = {
-        "graph_source": graph_src,
-        "mu_source": {"kind": "benchmark-map"},
-        "nu_source": {"kind": "benchmark-map"},
-        "tree_source": tree_src,
-    }
-    report, document, wall_time = _solve_document(spec, problem, resolved)
-    error = map_error_1d(report.trajectory, graph, benchmark_1d_exact_map)
-    document["extras"] = {
-        "results_row": {
-            "dx": geom.spacing,
-            "w2": float(np.sqrt(max(report.w2_action, 0.0))),
-            "map_error": error,
-            "wall_time_seconds": wall_time,
-        },
+def _map_benchmark_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
+    problem, report, _ = solves[0]
+    error = map_error_1d(report.trajectory, problem.graph, benchmark_1d_exact_map)
+    return {
+        "results_row": _results_row(solves, Lattice1D, error),
         "analytic_w2": float(BENCHMARK_1D_W2),
     }
-    return _finish(spec, document, [report])
 
 
-def _run_tree_compare(spec: ScenarioSpec) -> ScenarioRun:
-    graph, graph_src = _resolve_graph(spec)
-    if graph is None:
-        graph = five_node_example()
-        graph_src = {"kind": "five-node-example"}
-        default_trees = [SpanningTree(graph, edges) for edges in _FIVE_NODE_TREES]
-    else:
-        default_trees = []
-    if spec.tree_files:
-        trees = [read_tree_file(p, graph) for p in spec.tree_files]
-        tree_src = {"kind": "files", "paths": list(spec.tree_files)}
-    elif default_trees:
-        trees = default_trees
-        tree_src = {"kind": "five-node-default-trees"}
-    else:
-        raise InputFormatError(
-            "tree-compare on a custom graph needs at least one --tree file"
-        )
-    mu, nu, endpoint_src = _seeded_endpoints(spec, graph)
-    steps = spec.steps or 64
-    model = _default_model(spec)
-    damping = _resolve_damping(spec)
-    config = SolveConfig(
-        tolerance=spec.tolerance,
-        max_iterations=spec.max_iterations,
-        jacobian=spec.jacobian,
-        damping=damping,
-    )
-
-    reports = []
-    per_tree = []
-    problems = []
-    for tree in trees:
-        problem = TransportProblem(graph, mu, nu, steps, model=model, tree=tree)
-        start = time.monotonic()
-        report = newton_solve(problem, config=config)
-        wall_time = time.monotonic() - start
-        reports.append(report)
-        problems.append(problem)
-        per_tree.append(
-            {
-                "tree_edges": [list(e) for e in tree.tree_edges],
-                "w2_action": report.w2_action,
-                "w2_initial": report.w2_initial,
-                "iterations": report.iterations,
-                "converged": report.converged,
-                "wall_time_seconds": wall_time,
-            }
-        )
-
+def _tree_compare_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
+    per_tree = [
+        {
+            "tree_edges": [list(e) for e in problem.tree.tree_edges],
+            "w2_action": report.w2_action,
+            "w2_initial": report.w2_initial,
+            "iterations": report.iterations,
+            "converged": report.converged,
+            "wall_time_seconds": wall_time,
+        }
+        for problem, report, wall_time in solves
+    ]
     gaps = {"action": 0.0, "initial": 0.0, "densities": 0.0, "edge_velocities": 0.0}
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            ti, tj = reports[i].trajectory, reports[j].trajectory
-            gaps["action"] = max(
-                gaps["action"], abs(reports[i].w2_action - reports[j].w2_action)
-            )
-            gaps["initial"] = max(
-                gaps["initial"], abs(reports[i].w2_initial - reports[j].w2_initial)
-            )
-            gaps["densities"] = max(
-                gaps["densities"], float(np.abs(ti.densities - tj.densities).max())
-            )
-            gaps["edge_velocities"] = max(
-                gaps["edge_velocities"],
-                float(np.abs(ti.edge_velocities - tj.edge_velocities).max()),
-            )
-
-    resolved = {"graph_source": graph_src, "tree_source": tree_src, **endpoint_src}
-    first = reports[0]
-    document = {
-        "schema": ARTIFACT_SCHEMA,
-        "scenario": spec.scenario,
-        "config": _config_block(spec, problems[0], resolved, damping),
-        "graph": _graph_block(graph),
-        "tree_edges": [list(e) for e in trees[0].tree_edges],
-        "solver": _solver_block(first, per_tree[0]["wall_time_seconds"]),
-        "metrics": _metrics_block(problems[0], first),
-        "trajectory": _trajectory_block(first.trajectory),
-        "extras": {"per_tree": per_tree, "max_pairwise_gaps": gaps},
-    }
-    return _finish(spec, document, reports)
+    for (_, a, _), (_, b, _) in itertools.combinations(solves, 2):
+        ta, tb = a.trajectory, b.trajectory
+        gaps["action"] = max(gaps["action"], abs(a.w2_action - b.w2_action))
+        gaps["initial"] = max(gaps["initial"], abs(a.w2_initial - b.w2_initial))
+        gaps["densities"] = max(
+            gaps["densities"], float(np.abs(ta.densities - tb.densities).max())
+        )
+        gaps["edge_velocities"] = max(
+            gaps["edge_velocities"],
+            float(np.abs(ta.edge_velocities - tb.edge_velocities).max()),
+        )
+    return {"per_tree": per_tree, "max_pairwise_gaps": gaps}
 
 
-def _run_dumbbell(spec: ScenarioSpec) -> ScenarioRun:
-    left, right = spec.dumbbell_sizes or (4, 4)
-    graph = dumbbell(int(left), int(right))
-    graph_src = {"kind": "dumbbell", "left": int(left), "right": int(right)}
-    mu, nu, endpoint_src = _seeded_endpoints(spec, graph)
-    tree, tree_src = _resolve_tree(spec, graph)
-    problem = TransportProblem(
-        graph, mu, nu, spec.steps or 128, model=_default_model(spec), tree=tree
-    )
-    resolved = {"graph_source": graph_src, "tree_source": tree_src, **endpoint_src}
-    report, document, _ = _solve_document(spec, problem, resolved)
-
-    bridge = (int(left), int(left) + 1)
+def _dumbbell_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
+    problem, report, _ = solves[0]
+    left = resolved["graph_source"]["left"]
+    bridge = (left, left + 1)
     mean_abs = np.abs(report.trajectory.edge_velocities).mean(axis=0)
-    document["extras"] = {
+    return {
         "bridge_edge": list(bridge),
-        "bridge_mean_abs_velocity": float(mean_abs[graph.edge_position(*bridge)]),
+        "bridge_mean_abs_velocity": float(mean_abs[problem.graph.edge_position(*bridge)]),
         "edge_mean_abs_velocity": mean_abs.tolist(),
         "overall_mean_abs_velocity": float(mean_abs.mean()),
         "min_density": float(report.trajectory.densities.min()),
     }
-    return _finish(spec, document, [report])
 
 
-def _run_recover_topology(spec: ScenarioSpec) -> ScenarioRun:
-    n = spec.complete or 10
-    graph = complete_graph(int(n))
-    graph_src = {"kind": "complete", "node_count": int(n)}
-    mu, nu, endpoint_src = _seeded_endpoints(spec, graph)
-    tree, tree_src = _resolve_tree(spec, graph)
-    problem = TransportProblem(
-        graph, mu, nu, spec.steps or 128, model=_default_model(spec), tree=tree
-    )
-    resolved = {"graph_source": graph_src, "tree_source": tree_src, **endpoint_src}
-    report, document, _ = _solve_document(spec, problem, resolved)
-
+def _recover_topology_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
+    problem, report, _ = solves[0]
     threshold = spec.threshold if spec.threshold is not None else 1e-3
     per_level = [
-        [list(e) for e in effective_edges(report.trajectory, graph, level, threshold)]
+        [list(e) for e in effective_edges(report.trajectory, problem.graph, level, threshold)]
         for level in range(1, problem.steps + 2)
     ]
-    document["extras"] = {
+    return {
         "threshold": threshold,
         "effective_edges_per_level": per_level,
         "effective_edge_count_per_level": [len(es) for es in per_level],
     }
-    return _finish(spec, document, [report])
 
 
-def _run_consensus(spec: ScenarioSpec) -> ScenarioRun:
-    graph, graph_src = _resolve_graph(spec)
-    if graph is None:
-        graph = random_connected_graph(10, 0.3, spec.seed)
-        graph_src = {
-            "kind": "random-connected",
-            "node_count": 10,
-            "extra_edge_probability": 0.3,
-            "seed": spec.seed,
-        }
-    mu, mu_src = _resolve_density(spec, graph, "mu")
-    nu, nu_src = _resolve_density(spec, graph, "nu")
-    if mu is None:
-        mu = seeded_random_density(graph.node_count, spec.seed + 1)
-        mu_src = {"kind": "random", "seed": spec.seed + 1}
-    if nu is None:
-        nu = uniform_density(graph.node_count)
-        nu_src = {"kind": "uniform"}
-    tree, tree_src = _resolve_tree(spec, graph)
-    problem = TransportProblem(
-        graph, mu, nu, spec.steps or 256, model=_default_model(spec), tree=tree
-    )
-    resolved = {
-        "graph_source": graph_src,
-        "mu_source": mu_src,
-        "nu_source": nu_src,
-        "tree_source": tree_src,
-    }
-    report, document, _ = _solve_document(spec, problem, resolved)
-    uniform = 1.0 / graph.node_count
+def _consensus_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
+    problem, report, _ = solves[0]
+    uniform = 1.0 / problem.graph.node_count
     deviation = np.abs(report.trajectory.densities - uniform).max(axis=1)
-    document["extras"] = {
+    return {
         "max_deviation_from_uniform_per_level": deviation.tolist(),
         "final_deviation_from_uniform": float(deviation[-1]),
     }
-    return _finish(spec, document, [report])
 
 
-def _run_check_cfl(spec: ScenarioSpec) -> ScenarioRun:
-    graph, graph_src = _resolve_graph(spec)
-    if graph is None:
-        graph = dumbbell(4, 4)
-        graph_src = {"kind": "dumbbell", "left": 4, "right": 4}
-    mu, nu, endpoint_src = _seeded_endpoints(spec, graph)
-    tree, tree_src = _resolve_tree(spec, graph)
-    problem = TransportProblem(
-        graph, mu, nu, spec.steps or 128, model=_default_model(spec, "upwind"), tree=tree
-    )
-    resolved = {"graph_source": graph_src, "tree_source": tree_src, **endpoint_src}
-    report, document, _ = _solve_document(spec, problem, resolved)
-
-    velocities = report.trajectory.edge_velocities[: problem.steps]
+def _check_cfl_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
+    problem, report, _ = solves[0]
     margins = []
-    for level_v in velocities:
-        level_margins, _ = check_cfl(graph, level_v, problem.tau)
+    tau_star = float("inf")
+    for level_v in report.trajectory.edge_velocities[: problem.steps]:
+        level_margins, level_tau_star = check_cfl(problem.graph, level_v, problem.tau)
         margins.append(float(level_margins.min()))
-    vmax = float(np.abs(velocities).max()) if velocities.size else 0.0
-    if vmax == 0.0:
-        tau_star = None  # unbounded
-    else:
-        tau_star = 1.0 / (graph.max_degree * float(graph.sqrt_weights.max()) * vmax)
-    document["extras"] = {
+        tau_star = min(tau_star, level_tau_star)
+    return {
         "tau": problem.tau,
-        "tau_star": tau_star,
+        "tau_star": None if tau_star == float("inf") else tau_star,  # None: unbounded
         "min_margin_per_level": margins,
         "min_margin": min(margins) if margins else 1.0,
         "cfl_satisfied": bool(margins and min(margins) >= 0.0),
     }
-    return _finish(spec, document, [report])
 
+
+# -- the scenario table ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario's defaults, used where the spec leaves an input unset.
+
+    ``graph(spec)`` and ``mu``/``nu(spec, graph)`` return the input and its
+    source block; None means the spec must give that input.  Rows reach the
+    graph builders through lambdas, which look each module attribute up at
+    call time, so a tracer that replaces one sees every call.
+    """
+
+    steps: int
+    graph: Callable | None = None
+    mu: Callable | None = None
+    nu: Callable | None = None
+    theta: str = "mean"
+    damping: bool = False
+    # graph and density source fields of ScenarioSpec the scenario takes
+    sources: tuple[str, ...] = tuple(_SOURCE_FLAGS)
+    extras: Callable | None = None
+    several_trees: bool = False
+
+
+_SEEDED_ENDPOINTS = dict(
+    mu=lambda spec, g: _random(g, spec.seed),
+    nu=lambda spec, g: _random(g, spec.seed + 1),
+)
 
 SCENARIOS = {
-    "solve": _run_solve,
-    "benchmark-1d": _run_benchmark_1d,
-    "benchmark-2d": _run_benchmark_2d,
-    "map-benchmark": _run_map_benchmark,
-    "tree-compare": _run_tree_compare,
-    "dumbbell": _run_dumbbell,
-    "recover-topology": _run_recover_topology,
-    "consensus": _run_consensus,
-    "check-cfl": _run_check_cfl,
+    "solve": _Scenario(steps=32),
+    "benchmark-1d": _Scenario(
+        steps=32,
+        graph=lambda spec: _lattice1d(64, 4.0, _origin(spec, -1.0)),
+        mu=lambda spec, g: _gauss1d(g, 15.0, 1.4, 1e-4),
+        nu=lambda spec, g: _gauss1d(g, 15.0, 1.7, 1e-4),
+        extras=lambda spec, resolved, solves: {"results_row": _results_row(solves, Lattice1D)},
+    ),
+    "benchmark-2d": _Scenario(
+        steps=16,
+        # desk-scale default; pass --lattice2d 64 4.0 for the full-size run
+        graph=lambda spec: _lattice2d(16, 4.0, _origin(spec, -1.0)),
+        mu=lambda spec, g: _gauss2d(g, 10.0, 10.0, 0.5, 1.5, 1.0, 1e-4),
+        nu=lambda spec, g: _gauss2d(g, 10.0, 10.0, 1.5, 1.3, 1.0, 1e-4),
+        # the concentrated endpoint profiles sit far from the linear-path guess
+        damping=True,
+        extras=lambda spec, resolved, solves: {"results_row": _results_row(solves, Lattice2D)},
+    ),
+    "map-benchmark": _Scenario(
+        steps=64,
+        graph=lambda spec: _lattice1d(128, 1.0, 0.0),
+        mu=lambda spec, g: (_map_densities(g)[0], {"kind": "benchmark-map"}),
+        nu=lambda spec, g: (_map_densities(g)[1], {"kind": "benchmark-map"}),
+        sources=tuple(_GRAPH_FLAGS),
+        extras=_map_benchmark_extras,
+    ),
+    "tree-compare": _Scenario(
+        steps=64,
+        graph=lambda spec: (five_node_example(), {"kind": "five-node-example"}),
+        **_SEEDED_ENDPOINTS,
+        extras=_tree_compare_extras,
+        several_trees=True,
+    ),
+    "dumbbell": _Scenario(
+        steps=128,
+        graph=lambda spec: _dumbbell(4, 4),
+        **_SEEDED_ENDPOINTS,
+        sources=("dumbbell_sizes", *_DENSITY_FLAGS),
+        extras=_dumbbell_extras,
+    ),
+    "recover-topology": _Scenario(
+        steps=128,
+        graph=lambda spec: _complete(10),
+        **_SEEDED_ENDPOINTS,
+        sources=("complete", *_DENSITY_FLAGS),
+        extras=_recover_topology_extras,
+    ),
+    "consensus": _Scenario(
+        steps=256,
+        graph=lambda spec: (
+            random_connected_graph(10, 0.3, spec.seed),
+            {"kind": "random-connected", "node_count": 10, "extra_edge_probability": 0.3, "seed": spec.seed},
+        ),
+        mu=lambda spec, g: _random(g, spec.seed + 1),
+        nu=lambda spec, g: _uniform(g),
+        extras=_consensus_extras,
+    ),
+    "check-cfl": _Scenario(
+        steps=128,
+        graph=lambda spec: _dumbbell(4, 4),
+        **_SEEDED_ENDPOINTS,
+        theta="upwind",
+        extras=_check_cfl_extras,
+    ),
 }
 
 
@@ -798,9 +659,48 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
     and invariant violations are reported through the exit code instead.
     """
     try:
-        handler = SCENARIOS[spec.scenario]
+        scenario = SCENARIOS[spec.scenario]
     except KeyError:
         raise InputFormatError(
             f"unknown scenario {spec.scenario!r}; choose from {sorted(SCENARIOS)}"
         ) from None
-    return handler(spec)
+    for name, flag in _SOURCE_FLAGS.items():
+        if _given(spec, name) and name not in scenario.sources:
+            raise InputFormatError(f"scenario {spec.scenario!r} does not accept {flag}")
+
+    graph, graph_src = _resolve_graph(spec, scenario.graph)
+    mu, mu_src = _resolve_density(spec, graph, "mu")
+    nu, nu_src = _resolve_density(spec, graph, "nu")
+    if scenario.mu is None and (mu is None or nu is None):
+        raise InputFormatError(f"scenario {spec.scenario!r} needs both --mu and --nu sources")
+    if mu is None:
+        mu, mu_src = scenario.mu(spec, graph)
+    if nu is None:
+        nu, nu_src = scenario.nu(spec, graph)
+    trees, tree_src = _resolve_trees(spec, scenario.several_trees, graph, graph_src)
+    resolved = {
+        "graph_source": graph_src,
+        "mu_source": mu_src,
+        "nu_source": nu_src,
+        "tree_source": tree_src,
+    }
+
+    model = get_mobility(spec.theta if spec.theta is not None else scenario.theta)
+    damping = scenario.damping if spec.damping is None else spec.damping
+    config = SolveConfig(
+        tolerance=spec.tolerance,
+        max_iterations=spec.max_iterations,
+        jacobian=spec.jacobian,
+        damping=damping,
+    )
+    solves = []
+    for tree in trees:
+        problem = TransportProblem(graph, mu, nu, spec.steps or scenario.steps, model=model, tree=tree)
+        start = time.monotonic()
+        report = newton_solve(problem, config=config)
+        solves.append((problem, report, time.monotonic() - start))
+
+    document = _solve_document(spec, resolved, damping, *solves[0])
+    if scenario.extras is not None:
+        document["extras"] = scenario.extras(spec, resolved, solves)
+    return _finish(spec, document, [report for _, report, _ in solves])

@@ -1,0 +1,43 @@
+"""The benchmark's traced mode still sees every layer it reports.
+
+``bench/spans.py`` traces a run by replacing module attributes of
+``graph_ot.scenarios``, ``graph_ot.newton``, ``graph_ot.system`` and
+``graph_ot.metrics`` for its length.  A refactor that binds one of those
+names earlier, or stops calling it through the module, silently zeroes a
+per-layer metric; this test runs two scenarios under a full tracer and
+requires a span of each layer from each run.
+"""
+
+import sys
+from pathlib import Path
+
+from graph_ot import ScenarioSpec, run_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import spans  # noqa: E402
+
+LAYERS = {
+    "graph.build",
+    "tree.build",
+    "newton.solve",
+    "newton.assembly",
+    "system.residual",
+    "metrics",
+    "scenarios.artifact_write",
+}
+
+
+def test_traced_run_records_every_layer(tmp_path):
+    tracer = spans.Tracer(None)
+    tracer.install()
+    starts = []
+    try:
+        for name in ("tree-compare", "dumbbell"):
+            starts.append(len(tracer.spans))
+            run_scenario(ScenarioSpec(name, steps=4, out=str(tmp_path / f"{name}.json")))
+    finally:
+        tracer.uninstall()
+    for first, end in zip(starts, starts[1:] + [len(tracer.spans)]):
+        seen = {span.name for span in tracer.spans[first:end]}
+        assert LAYERS <= seen, sorted(LAYERS - seen)
