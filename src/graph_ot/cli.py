@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         graph.add_argument("--complete", type=int, metavar="N", help="complete graph K_N")
         graph.add_argument(
-            "--origin", type=float, metavar="X", help="lattice origin coordinate"
+            "--origin", type=float, metavar="X",
+            help="lattice origin coordinate (lattice graphs only)",
         )
 
         dens = p.add_argument_group("endpoint densities (at most one source each)")
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         solver.add_argument(
             "--threshold", type=float, metavar="T",
-            help="velocity threshold for effective-edge detection",
+            help="velocity threshold for effective-edge detection (recover-topology only)",
         )
         solver.add_argument("--seed", type=int, default=0, help="seed for generated inputs")
         solver.add_argument("--out", metavar="FILE", help="artifact path (default graph_ot_<scenario>.json)")

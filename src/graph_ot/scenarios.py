@@ -80,7 +80,8 @@ class ScenarioSpec:
 
     Unset fields fall back to per-scenario defaults; at most one graph
     source and one density source per endpoint may be set, and only sources
-    the scenario takes.
+    the scenario takes.  ``origin`` needs a lattice graph, given or default,
+    and ``threshold`` is read by recover-topology alone.
     """
 
     scenario: str
@@ -195,6 +196,8 @@ _DENSITY_FLAGS = {
     for kind in ("file", "gauss1d", "gauss2d", "random", "uniform")
 }
 _SOURCE_FLAGS = {**_GRAPH_FLAGS, **_DENSITY_FLAGS}
+# every field a scenario may refuse: the sources and --threshold
+_REFUSABLE_FLAGS = {**_SOURCE_FLAGS, "threshold": "--threshold"}
 
 
 def _given(spec: ScenarioSpec, name: str) -> bool:
@@ -564,8 +567,8 @@ class _Scenario:
     nu: Callable | None = None
     theta: str = "mean"
     damping: bool = False
-    # graph and density source fields of ScenarioSpec the scenario takes
-    sources: tuple[str, ...] = tuple(_SOURCE_FLAGS)
+    # fields of _REFUSABLE_FLAGS the scenario takes: by default every source
+    takes: tuple[str, ...] = tuple(_SOURCE_FLAGS)
     extras: Callable | None = None
     several_trees: bool = False
 
@@ -596,10 +599,10 @@ SCENARIOS = {
     ),
     "map-benchmark": _Scenario(
         steps=64,
-        graph=lambda spec: _lattice1d(128, 1.0, 0.0),
+        graph=lambda spec: _lattice1d(128, 1.0, _origin(spec, 0.0)),
         mu=lambda spec, g: (_map_densities(g)[0], {"kind": "benchmark-map"}),
         nu=lambda spec, g: (_map_densities(g)[1], {"kind": "benchmark-map"}),
-        sources=tuple(_GRAPH_FLAGS),
+        takes=tuple(_GRAPH_FLAGS),
         extras=_map_benchmark_extras,
     ),
     "tree-compare": _Scenario(
@@ -613,14 +616,14 @@ SCENARIOS = {
         steps=128,
         graph=lambda spec: _dumbbell(4, 4),
         **_SEEDED_ENDPOINTS,
-        sources=("dumbbell_sizes", *_DENSITY_FLAGS),
+        takes=("dumbbell_sizes", *_DENSITY_FLAGS),
         extras=_dumbbell_extras,
     ),
     "recover-topology": _Scenario(
         steps=128,
         graph=lambda spec: _complete(10),
         **_SEEDED_ENDPOINTS,
-        sources=("complete", *_DENSITY_FLAGS),
+        takes=("complete", *_DENSITY_FLAGS, "threshold"),
         extras=_recover_topology_extras,
     ),
     "consensus": _Scenario(
@@ -664,11 +667,15 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
         raise InputFormatError(
             f"unknown scenario {spec.scenario!r}; choose from {sorted(SCENARIOS)}"
         ) from None
-    for name, flag in _SOURCE_FLAGS.items():
-        if _given(spec, name) and name not in scenario.sources:
+    for name, flag in _REFUSABLE_FLAGS.items():
+        if _given(spec, name) and name not in scenario.takes:
             raise InputFormatError(f"scenario {spec.scenario!r} does not accept {flag}")
 
     graph, graph_src = _resolve_graph(spec, scenario.graph)
+    if spec.origin is not None and graph_src["kind"] not in ("lattice1d", "lattice2d"):
+        raise InputFormatError(
+            f"scenario {spec.scenario!r} does not accept --origin without a lattice"
+        )
     mu, mu_src = _resolve_density(spec, graph, "mu")
     nu, nu_src = _resolve_density(spec, graph, "nu")
     if scenario.mu is None and (mu is None or nu is None):

@@ -52,8 +52,6 @@ __all__ = [
     "reduced_rhs",
     "assemble_residual",
     "residual_fields",
-    "density_residual_level",
-    "velocity_residual_level",
     "explicit_upwind_update",
 ]
 
@@ -385,37 +383,6 @@ def assemble_residual(problem: TransportProblem, x: np.ndarray) -> np.ndarray:
     rho, vel, edge_vel = level_fields(problem, x)
     f_rho, f_v = residual_fields(problem, rho, vel, edge_vel)
     return np.concatenate([f_rho.ravel(), f_v.ravel()])
-
-
-def density_residual_level(
-    problem: TransportProblem,
-    rho_level: np.ndarray,
-    rho_next: np.ndarray,
-    edge_velocities_level: np.ndarray,
-) -> np.ndarray:
-    """Single time-level density residual F_rho^m over nodes 1..N-1."""
-    g = problem.graph
-    n1 = g.node_count - 1
-    div = divergence(g, rho_level, edge_velocities_level, problem.model)
-    return rho_next[:n1] - rho_level[:n1] + problem.tau * div[:n1]
-
-
-def velocity_residual_level(
-    problem: TransportProblem,
-    rho_level: np.ndarray,
-    vel_level: np.ndarray,
-    vel_next: np.ndarray,
-    edge_velocities_level: np.ndarray,
-) -> np.ndarray:
-    """Single time-level velocity residual F_v^m over tree edges."""
-    tree = problem.tree
-    kinetic = nodal_kinetic(
-        problem.graph, rho_level, edge_velocities_level, problem.model
-    )
-    phi = 0.5 * problem.tau * tree.sqrt_weights * (
-        kinetic[tree.head] - kinetic[tree.tail]
-    )
-    return vel_next - vel_level + phi
 
 
 def explicit_upwind_update(

@@ -22,6 +22,9 @@ LAYERS = {
     "tree.build",
     "newton.solve",
     "newton.assembly",
+    "newton.lu_factor",
+    "newton.lu_solve",
+    "newton.rcond",
     "system.residual",
     "metrics",
     "scenarios.artifact_write",

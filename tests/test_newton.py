@@ -54,7 +54,6 @@ def dumbbell_problem(model=ARITHMETIC_MEAN, steps=8):
         {"tolerance": -1e-10},
         {"max_iterations": 0},
         {"jacobian": "exact"},
-        {"fd_step": 0.0},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -413,6 +412,38 @@ def test_analytic_jacobian_matches_fd_edge_cases(make, ties):
         assert np.abs(ja - jf).max() <= 1e-5 * scale
 
 
+def column_fd(problem, x):
+    """Plain forward differences of the residual, one column at a time."""
+    base = assemble_residual(problem, x)
+    jacobian = np.zeros((base.size, x.size))
+    for j in range(x.size):
+        h = graph_ot.newton._FD_STEP * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += h
+        jacobian[:, j] = (assemble_residual(problem, xp) - base) / h
+    return jacobian
+
+
+@edge_cases
+def test_time_coloured_fd_equals_column_fd(make, ties, monkeypatch):
+    p = make()
+    calls = []
+    residual = graph_ot.newton.assemble_residual
+
+    def counting(problem, x):
+        calls.append(x)
+        return residual(problem, x)
+
+    for x in edge_case_iterates(p, ties, count=2):
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_ot.newton, "assemble_residual", counting)
+            jf = assemble_jacobian_fd(p, x)
+        np.testing.assert_array_equal(jf.toarray(), column_fd(p, x))
+        assert not np.any(jf.data == 0.0)
+        assert 0 < len(calls) <= 4 * (p.graph.node_count - 1) + 1
+        calls.clear()
+
+
 @edge_cases
 def test_condensed_factor_matches_full_lu(make, ties, monkeypatch):
     p = make()
@@ -457,6 +488,19 @@ def test_rcond_estimate_bounds_the_exact_value(make):
     np.random.seed(5)  # onenormest draws from numpy's global generator
     rcond = newton_solve(p).jacobian_rcond
     assert exact * (1.0 - 1e-12) <= rcond <= 3.0 * exact
+
+
+def test_rcond_estimate_is_reproducible():
+    p = k8_problem()
+    rconds = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        rconds.append(newton_solve(p).jacobian_rcond)
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        np.testing.assert_array_equal(before[1], after[1])
+    assert rconds[0] == rconds[1]
 
 
 def test_splu_factors_only_the_triangular_block(monkeypatch):
@@ -612,11 +656,12 @@ def test_nonfinite_residual_reported_not_raised():
     assert report.iterations == 0
 
 
-def test_ill_conditioning_warning_logged(caplog):
+def test_ill_conditioning_warning_logged(caplog, monkeypatch):
     g = build_from_edge_list([(1, 2, 1.0)])
     p = TransportProblem(g, np.array([0.6, 0.4]), np.array([0.4, 0.6]), 2, model=UPWIND)
+    monkeypatch.setattr(graph_ot.newton, "_RCOND_WARN", 1.0)
     with caplog.at_level(logging.WARNING, logger="graph_ot.newton"):
-        newton_solve(p, config=SolveConfig(rcond_warn=1.0))
+        newton_solve(p)
     assert any("reciprocal-condition" in r.message for r in caplog.records)
 
 

@@ -159,7 +159,7 @@ def test_solve_defaults(tmp_path):
     }
 
 
-# -- sources a scenario does not take ------------------------------------------------
+# -- sources and options a scenario does not take ------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -168,9 +168,21 @@ def test_solve_defaults(tmp_path):
         ("dumbbell", {"graph_file": "f.csv"}, "--graph"),
         ("recover-topology", {"lattice1d": (8, 1.0)}, "--lattice1d"),
         ("map-benchmark", {"mu_uniform": True}, "--mu-uniform"),
+        ("dumbbell", {"origin": 0.3}, "--origin without a lattice"),
+        ("solve", {"complete": 5, "origin": 0.3}, "--origin without a lattice"),
+        ("dumbbell", {"threshold": 0.5}, "--threshold"),
+        ("benchmark-1d", {"threshold": 0.5}, "--threshold"),
     ],
 )
 def test_ignored_source_is_rejected(tmp_path, name, source, flag):
     with pytest.raises(InputFormatError, match=f"'{name}' does not accept {flag}$"):
         run_scenario(ScenarioSpec(scenario=name, out=str(tmp_path / "a.json"), **source))
     assert not (tmp_path / "a.json").exists()
+
+
+def test_map_benchmark_default_lattice_takes_origin(tmp_path):
+    run = run_scenario(
+        ScenarioSpec("map-benchmark", origin=0.3, max_iterations=1, out=str(tmp_path / "a.json"))
+    )
+    assert run.document["config"]["graph_source"]["origin"] == 0.3
+    assert run.document["graph"]["geometry"]["origin"] == 0.3
