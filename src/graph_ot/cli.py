@@ -15,11 +15,10 @@ import logging
 import os
 import sys
 
-from .errors import GraphOTError, SingularJacobianError
+from .errors import GraphOTError
 from .newton import JACOBIAN_MODES
 from .scenarios import (
     EXIT_INPUT_ERROR,
-    EXIT_NOT_CONVERGED,
     SCENARIOS,
     ScenarioSpec,
     run_scenario,
@@ -34,8 +33,6 @@ def _emit_error(exc: BaseException, exit_code: int) -> None:
             "exit_code": exit_code,
         }
     }
-    if isinstance(exc, SingularJacobianError):
-        payload["error"]["rcond"] = exc.rcond
     print(json.dumps(payload), file=sys.stderr)
 
 
@@ -208,9 +205,6 @@ def main(argv: list[str] | None = None) -> int:
     spec = _spec_from_args(args)
     try:
         run = run_scenario(spec)
-    except SingularJacobianError as exc:
-        _emit_error(exc, EXIT_NOT_CONVERGED)
-        return EXIT_NOT_CONVERGED
     except (GraphOTError, OSError) as exc:
         _emit_error(exc, EXIT_INPUT_ERROR)
         return EXIT_INPUT_ERROR

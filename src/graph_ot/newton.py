@@ -7,7 +7,12 @@ is a forward sweep in time.  Each step is therefore solved by block
 elimination in time, the condensing step of multiple shooting.  In time
 order, the columns of levels 2..M+1 against every row but the terminal
 density rows form a lower triangular block, factored without fill; the
-(N-1) x (N-1) Schur complement on v^1 is factored densely.
+(N-1) x (N-1) Schur complement on v^1 is factored densely.  Large problems
+form that Schur complement by a forward sweep over the time levels, one
+sparse x dense product per level; small ones, where the per-level overhead
+of the sweep outweighs its work, by SuperLU solves with the triangular
+factor.  A size rule on the per-level work picks one (see
+``_CondensedFactor``).
 
 The analytic Jacobian has the same entries at every level, shifted by N-1
 rows and columns, and they depend only on the graph, the spanning tree and
@@ -100,15 +105,17 @@ class SolveReport:
     """Outcome of one solve.
 
     ``status`` is "converged", "max_iterations_exceeded",
-    "nonfinite_residual" or "line_search_failed" (damping on, and neither
+    "nonfinite_residual", "line_search_failed" (damping on, and neither
     the Newton step nor any of its 30 halvings lowered the residual; the
     solve keeps the last iterate, so ``residual_history`` strictly
-    decreases).  ``converged`` is true iff the final residual norm is below
-    the tolerance.  ``cfl_margin`` is the worst local margin
+    decreases) or "singular_jacobian" (the Jacobian at the last iterate is
+    exactly singular or could not be factored; the solve stops there).
+    ``converged`` is true iff the final residual norm is below the
+    tolerance.  ``cfl_margin`` is the worst local margin
     1 - tau * sum sqrt(w) v^+ over nodes and the M update levels (relevant
     for the upwind model).  ``jacobian_rcond`` is a reciprocal-condition
-    estimate from the first factored Jacobian, 0 when its factorization met
-    a zero pivot, None when no factorization happened.
+    estimate from the first factored Jacobian, 0 when that Jacobian was
+    found singular, None when no factorization happened.
     """
 
     trajectory: Trajectory
@@ -403,8 +410,13 @@ def assemble_jacobian_fd(problem: TransportProblem, x: np.ndarray) -> sp.csr_mat
 
 
 # largest dense block of A12^-1 A11 held at once while forming the Schur
-# complement; the full block is (2M-1)(N-1) x (N-1)
+# complement: of all (2M-1)(N-1) rows by SuperLU solves, of one level's
+# 2(N-1) rows by the level sweep
 _SCHUR_CHUNK_BYTES = 32 * 2**20
+
+# per-level work nnz(strict lower A12) (N-1) / M from which the level sweep
+# forms the Schur complement faster than SuperLU; see _CondensedFactor
+_SWEEP_MIN_WORK = 1e5
 
 # LAPACK's LU without scipy.linalg.lu_factor's warning on a zero pivot
 _getrf = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
@@ -429,6 +441,70 @@ def _time_order(m: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _sweep_schur(
+    a11: sp.csc_matrix, a12: sp.csc_matrix, a21: sp.csc_matrix, a22: sp.csc_matrix
+) -> np.ndarray:
+    """K = A21 - A22 A12^-1 A11 by block forward substitution in time.
+
+    Level k = 0, 1, ... holds rows and columns 2(N-1)k .. 2(N-1)(k+1) - 1
+    of A12, N-1 of them at the last level.  A12 must be block lower
+    bidiagonal: a diagonal matrix D_k on each diagonal block and one
+    sub-diagonal block L_k per level; A11 must lie in the rows of level 0.
+    Then Y_0 = D_0^-1 A11 and Y_k = -D_k^-1 L_k Y_{k-1}, one sparse x dense
+    product per level with one level's block held at a time, and only the
+    levels that A22 touches are multiplied into K.  Any other pattern
+    raises ValueError.  A zero in D makes A12 singular, which its SuperLU
+    factor has already reported.
+    """
+    top, n1 = a11.shape
+    width = 2 * n1
+    entries = a12.tocoo()
+    r, c, v = entries.row, entries.col, entries.data
+    level = r // width
+    on_diagonal = r == c
+    if not np.all(on_diagonal | (c // width == level - 1)) or (
+        a11.nnz and a11.indices.max() >= width
+    ):
+        raise ValueError(
+            "the level sweep needs A12 block lower bidiagonal in time, with "
+            "diagonal matrices on its diagonal blocks, and A11 within the "
+            "rows of the first level"
+        )
+    d = np.bincount(r[on_diagonal], v[on_diagonal], minlength=top)
+    below = ~on_diagonal
+    r, c, level = r[below], c[below], level[below]
+    # -D_k^-1 L_k, stacked by rows, each block in its previous level's columns
+    lower = sp.csr_matrix(
+        (-v[below] / d[r], (r, c - (level - 1) * width)), shape=(top, width)
+    )
+    ptr = lower.indptr
+    touched = np.unique(np.flatnonzero(np.diff(a22.indptr)) // width)
+    # per level up to the last that A22 touches: -D_k^-1 L_k (none at level
+    # 0) and A22's columns of the level (none where they are all zero)
+    steps = []
+    for k in range(touched[-1] + 1 if touched.size else 0):
+        r0, r1 = k * width, min((k + 1) * width, top)
+        block = None
+        if k:
+            span = slice(ptr[r0], ptr[r1])
+            block = sp.csr_matrix(
+                (lower.data[span], lower.indices[span], ptr[r0 : r1 + 1] - ptr[r0]),
+                shape=(r1 - r0, width),
+            )
+        steps.append((block, a22[:, r0:r1] if k in touched else None))
+
+    schur = a21.toarray()
+    chunk = max(1, _SCHUR_CHUNK_BYTES // (8 * width))
+    for j in range(0, n1, chunk):
+        y = a11[:width, j : j + chunk].toarray() / d[:width, None]
+        for block, a22_level in steps:
+            if block is not None:
+                y = block @ y
+            if a22_level is not None:
+                schur[:, j : j + chunk] -= a22_level @ y
+    return schur
+
+
 class _CondensedFactor:
     """Block elimination of the Newton matrix in time.
 
@@ -438,6 +514,31 @@ class _CondensedFactor:
     first-level tree velocities v^1 are fixed, the system is a forward sweep
     in time.  A12 is factored as it stands, without fill, and the (N-1) x
     (N-1) Schur complement K = A21 - A22 A12^-1 A11 densely.
+
+    K is formed one of two ways, chosen by the per-level work
+    W = nnz(strict lower A12) (N-1) / M.  From W >= _SWEEP_MIN_WORK,
+    ``_sweep_schur`` sweeps the time levels, one sparse x dense product
+    each, holding one level's 2(N-1) rows of it.  Below it, A12^-1 A11
+    comes from SuperLU solves with the factor of A12 on chunks of A11's
+    columns: there the sweep's fixed cost of about 25 us a level (building
+    the level's CSR block and calling the product) outweighs its savings.
+    K formation per factorization at the first Newton iterate of each
+    benchmark operation (medians, one BLAS thread, shared 2-core VM, numpy
+    2.4, scipy 1.17; on a busy VM both columns ran up to twice as slow):
+
+        problem                  W      SuperLU   sweep
+        tree-compare             160    0.07 ms   1.7 ms
+        check-cfl                540    0.18 ms   3.3 ms
+        dumbbell                 620    0.17 ms   3.2 ms
+        consensus                1.6k   0.60 ms   7.0 ms
+        benchmark-1d             48k    2.8 ms    2.1 ms
+        recover-topology         72k    8.5 ms    17.3 ms
+        map-benchmark n=256      0.82M  263 ms    27 ms
+        benchmark-2d 16x16       3.5M   77 ms     23 ms
+
+    The crossover lies between W = 5e4 and 7e4, where W alone does not
+    order the two ways (benchmark-1d against recover-topology, whose 128
+    levels cost the sweep more overhead); 1e5 keeps both on SuperLU.
 
     An exactly zero column of K makes J exactly singular and raises
     SingularJacobianError with rcond 0.  Any other zero pivot of K, or a
@@ -477,11 +578,14 @@ class _CondensedFactor:
                 f"Jacobian factorization failed: {exc}"
             ) from exc
 
-        schur = a21.toarray()
-        chunk = max(1, _SCHUR_CHUNK_BYTES // (8 * top))
-        for j in range(0, n1, chunk):
-            columns = self.a11[:, j : j + chunk].toarray()
-            schur[:, j : j + chunk] -= self.a22 @ self.a12_lu.solve(columns)
+        if (a12.nnz - top) * n1 >= _SWEEP_MIN_WORK * m:
+            schur = _sweep_schur(self.a11, a12, a21, self.a22)
+        else:
+            schur = a21.toarray()
+            chunk = max(1, _SCHUR_CHUNK_BYTES // (8 * top))
+            for j in range(0, n1, chunk):
+                columns = self.a11[:, j : j + chunk].toarray()
+                schur[:, j : j + chunk] -= self.a22 @ self.a12_lu.solve(columns)
 
         zero_columns = np.flatnonzero(~schur.any(axis=0))
         if zero_columns.size:
@@ -568,9 +672,9 @@ def newton_solve(
     """Solve the discrete geodesic equations by (quasi-)Newton iteration.
 
     Stops when the Euclidean residual norm drops below the tolerance or the
-    iteration budget is exhausted.  Divergence and non-finite residuals are
-    reported through the status, never raised; an exactly singular Jacobian
-    raises SingularJacobianError with rcond 0.
+    iteration budget is exhausted.  Divergence, non-finite residuals and an
+    exactly singular Jacobian are reported through the status, never
+    raised; the report then holds the last iterate.
     """
     if config is None:
         config = SolveConfig()
@@ -606,7 +710,13 @@ def newton_solve(
                 matrix = assemble_jacobian_fd(problem, x)
             else:
                 matrix = assemble_jacobian_analytic(problem, x)
-            lu = _CondensedFactor(problem, matrix)
+            try:
+                lu = _CondensedFactor(problem, matrix)
+            except SingularJacobianError:
+                status = "singular_jacobian"
+                if rcond is None:
+                    rcond = 0.0
+                break
             if rcond is None:
                 rcond = _rcond_estimate(matrix, lu)
 

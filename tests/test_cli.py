@@ -173,17 +173,19 @@ def test_singular_jacobian_exit_code(tmp_path, capsys):
     nu = tmp_path / "nu.txt"
     write_lines(mu, "0.0", "1.0")
     write_lines(nu, "1.0", "0.0")
+    out = tmp_path / "s.json"
     code = main(
         [
             "solve", "--graph", str(graph), "--mu", str(mu), "--nu", str(nu),
-            "--steps", "1", "--theta", "upwind", "--out", str(tmp_path / "s.json"),
+            "--steps", "1", "--theta", "upwind", "--out", str(out),
         ]
     )
     assert code == 3
-    error = stderr_error(capsys)
-    assert error["type"] == "SingularJacobianError"
-    assert error["exit_code"] == 3
-    assert error["rcond"] == 0.0
+    assert capsys.readouterr().out.startswith("solve: singular_jacobian in 0 iterations")
+    document = read_artifact(out)
+    assert document["exit_code"] == 3
+    assert document["solver"]["status"] == "singular_jacobian"
+    assert document["solver"]["jacobian_rcond"] == 0.0
 
 
 # -- logging ------------------------------------------------------------------------

@@ -16,18 +16,23 @@ from graph_ot import (
     assemble_jacobian_analytic,
     assemble_jacobian_fd,
     assemble_residual,
+    benchmark_1d_map_densities,
     build_from_edge_list,
     check_cfl,
     complete_graph,
     default_initial_guess,
     dumbbell,
     gaussian_density_1d,
+    gaussian_density_2d,
     lattice_1d_periodic,
+    lattice_2d_periodic,
     level_fields,
     newton_solve,
     pack,
+    random_connected_graph,
     seeded_random_density,
     state_size,
+    uniform_density,
 )
 from graph_ot.newton import _CondensedFactor
 
@@ -448,15 +453,23 @@ def test_time_coloured_fd_equals_column_fd(make, ties, monkeypatch):
 def test_condensed_factor_matches_full_lu(make, ties, monkeypatch):
     p = make()
     size = state_size(p)
-    top = size - (p.graph.node_count - 1)
+    n1 = p.graph.node_count - 1
+    top = size - n1
     rng = np.random.Generator(np.random.PCG64(12))
     for x in edge_case_iterates(p, ties, count=3):
         for matrix in (assemble_jacobian_analytic(p, x), assemble_jacobian_fd(p, x)):
-            factors = [_CondensedFactor(p, matrix)]
-            with monkeypatch.context() as patch:
-                # the Schur complement built two columns at a time
-                patch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 16 * top)
-                factors.append(_CondensedFactor(p, matrix))
+            factors = []
+            for rule in (
+                {"_SWEEP_MIN_WORK": 0.0},  # the level sweep
+                {"_SWEEP_MIN_WORK": np.inf},  # SuperLU solves
+                # each two columns at a time
+                {"_SWEEP_MIN_WORK": 0.0, "_SCHUR_CHUNK_BYTES": 32 * n1},
+                {"_SWEEP_MIN_WORK": np.inf, "_SCHUR_CHUNK_BYTES": 16 * top},
+            ):
+                with monkeypatch.context() as patch:
+                    for name, value in rule.items():
+                        patch.setattr(graph_ot.newton, name, value)
+                    factors.append(_CondensedFactor(p, matrix))
             full = spla.splu(matrix.tocsc())
             for b in (rng.normal(size=size), rng.normal(size=(size, 3))):
                 for trans in ("N", "T"):
@@ -466,6 +479,118 @@ def test_condensed_factor_matches_full_lu(make, ties, monkeypatch):
                         assert got.shape == b.shape
                         gap = np.linalg.norm(got - want) / np.linalg.norm(want)
                         assert gap <= 1e-10, (trans, gap)
+
+
+def schur_complement(p, x, monkeypatch, min_work):
+    """K as the condensed factor forms it at x under the given size rule."""
+    seen = []
+    getrf = graph_ot.newton._getrf
+
+    def recording(a, overwrite_a=False):
+        seen.append(a.copy())
+        return getrf(a, overwrite_a=overwrite_a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_ot.newton, "_getrf", recording)
+        patch.setattr(graph_ot.newton, "_SWEEP_MIN_WORK", min_work)
+        _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+    return seen[0]
+
+
+def gaussian_line_problem():
+    g = lattice_1d_periodic(48, 4.0, -1.0)
+    mu = gaussian_density_1d(g, 15.0, 1.4, 1e-4)
+    nu = gaussian_density_1d(g, 15.0, 1.7, 1e-4)
+    return TransportProblem(g, mu, nu, 16)
+
+
+def gaussian_grid_problem():
+    g = lattice_2d_periodic(6, 6, 4.0, -1.0)
+    mu = gaussian_density_2d(g, 2, 2, 0.5, 1.5, 1, 1e-2)
+    nu = gaussian_density_2d(g, 2, 2, 1.5, 1.3, 1, 1e-2)
+    return TransportProblem(g, mu, nu, 8)
+
+
+@pytest.mark.parametrize(
+    "make", [gaussian_line_problem, gaussian_grid_problem], ids=["1-d lattice", "2-d grid"]
+)
+def test_schur_complement_same_by_sweep_and_superlu(make, monkeypatch):
+    p = make()
+    first = default_initial_guess(p)
+    second = pack(p, newton_solve(p, config=SolveConfig(max_iterations=1)).trajectory)
+    for x in (first, second):
+        by_superlu = schur_complement(p, x, monkeypatch, np.inf)
+        by_sweep = schur_complement(p, x, monkeypatch, 0.0)
+        gap = np.abs(by_sweep - by_superlu).max() / np.abs(by_superlu).max()
+        assert gap <= 1e-12
+
+
+def sweeps(p, monkeypatch):
+    """Whether the condensed factor at p's initial guess forms K by the sweep."""
+    calls = []
+    sweep = graph_ot.newton._sweep_schur
+
+    def recording(*blocks):
+        calls.append(blocks)
+        return sweep(*blocks)
+
+    monkeypatch.setattr(graph_ot.newton, "_sweep_schur", recording)
+    _CondensedFactor(p, assemble_jacobian_analytic(p, default_initial_guess(p)))
+    return bool(calls)
+
+
+def test_size_rule_sides(monkeypatch):
+    # the sweep: the map and 2-d benchmark problems
+    line = lattice_1d_periodic(256, 1.0, 0.0)
+    assert sweeps(TransportProblem(line, *benchmark_1d_map_densities(line), 64), monkeypatch)
+    grid = lattice_2d_periodic(16, 16, 4.0, -1.0)
+    mu = gaussian_density_2d(grid, 10, 10, 0.5, 1.5, 1, 1e-4)
+    nu = gaussian_density_2d(grid, 10, 10, 1.5, 1.3, 1, 1e-4)
+    assert sweeps(TransportProblem(grid, mu, nu, 16), monkeypatch)
+    # SuperLU solves: small graphs at many levels
+    ten = random_connected_graph(10, 0.3, 0)
+    p = TransportProblem(ten, seeded_random_density(10, 1), uniform_density(10), 256)
+    assert not sweeps(p, monkeypatch)
+    p = TransportProblem(
+        dumbbell(4, 4), seeded_random_density(8, 0), seeded_random_density(8, 1), 128
+    )
+    assert not sweeps(p, monkeypatch)
+
+
+def doctored(p, row_level, col_level, field):
+    """J at the initial guess with one more entry: the first velocity row of
+    residual level ``row_level`` on node 2 of ``field`` at time level
+    ``col_level`` (both 1-based).  Residual level l should touch only time
+    levels l and l+1."""
+    m, n1 = p.steps, p.graph.node_count - 1
+    if field == "rho":  # the unknown densities of levels 2..M come first
+        col = (col_level - 2) * n1 + 1
+    else:
+        col = (m - 1) * n1 + (col_level - 1) * n1 + 1
+    j = assemble_jacobian_analytic(p, default_initial_guess(p)).tolil()
+    j[m * n1 + (row_level - 1) * n1, col] = 0.25
+    return j.tocsr()
+
+
+@pytest.mark.parametrize(
+    "row_level, col_level, field",
+    [(2, 3, "rho"), (3, 2, "v"), (2, 4, "v"), (2, 1, "v")],
+    ids=[
+        "off-diagonal in a diagonal block",
+        "two levels back",
+        "above the diagonal",
+        "A11 below the first level",
+    ],
+)
+def test_sweep_rejects_other_block_patterns(row_level, col_level, field, monkeypatch):
+    p = dumbbell_problem(steps=4)
+    matrix = doctored(p, row_level, col_level, field)
+    monkeypatch.setattr(graph_ot.newton, "_SWEEP_MIN_WORK", 0.0)
+    with pytest.raises(ValueError, match="block lower bidiagonal"):
+        _CondensedFactor(p, matrix)
+    # SuperLU solves take any A12 its factor can handle
+    monkeypatch.setattr(graph_ot.newton, "_SWEEP_MIN_WORK", np.inf)
+    _CondensedFactor(p, matrix)
 
 
 @pytest.mark.parametrize(
@@ -600,14 +725,21 @@ def test_solve_is_bitwise_deterministic():
 # -- failure modes --------------------------------------------------------------
 
 
-def test_singular_jacobian_is_raised():
+def test_singular_jacobian_is_reported():
     # zero initial velocity with upwind mobility and a zero donor density
     # gives a structurally zero column
     g = build_from_edge_list([(1, 2, 1.0)])
     p = TransportProblem(g, np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1, model=UPWIND)
     with pytest.raises(SingularJacobianError) as exc:
-        newton_solve(p, x0=np.zeros(2))
+        _CondensedFactor(p, assemble_jacobian_analytic(p, np.zeros(2)))
     assert exc.value.rcond == 0.0
+    report = newton_solve(p, x0=np.zeros(2))
+    assert report.status == "singular_jacobian"
+    assert not report.converged
+    assert report.jacobian_rcond == 0.0
+    assert report.iterations == 0
+    np.testing.assert_array_equal(pack(p, report.trajectory), np.zeros(2))
+    assert report.residual_history.shape == (1,)
 
 
 def test_far_apart_pair_diverges_without_raising():
