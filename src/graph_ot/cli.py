@@ -16,7 +16,7 @@ import os
 import sys
 
 from .errors import GraphOTError
-from .newton import JACOBIAN_MODES
+from .newton import JACOBIAN_MODES, SolveConfig
 from .scenarios import (
     EXIT_INPUT_ERROR,
     SCENARIOS,
@@ -50,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wasserstein geodesics on weighted graphs.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="scenario")
+    defaults = SolveConfig()
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         graph = p.add_argument_group("graph source (at most one)")
@@ -116,16 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
             "--theta", choices=("mean", "upwind"), help="mobility model (default per scenario)"
         )
         solver.add_argument(
-            "--jacobian", choices=JACOBIAN_MODES, default="analytic",
-            help="Jacobian mode (default analytic)",
+            "--jacobian", choices=JACOBIAN_MODES, default=defaults.jacobian,
+            help=f"Jacobian mode (default {defaults.jacobian})",
         )
         solver.add_argument(
-            "--tol", type=float, default=1e-10, metavar="EPS",
-            help="residual tolerance (default 1e-10)",
+            "--tol", type=float, default=defaults.tolerance, metavar="EPS",
+            help=f"residual tolerance (default {defaults.tolerance:g})",
         )
         solver.add_argument(
-            "--maxits", type=int, default=100, metavar="K",
-            help="iteration cap (default 100)",
+            "--maxits", type=int, default=defaults.max_iterations, metavar="K",
+            help=f"iteration cap (default {defaults.max_iterations})",
         )
         solver.add_argument(
             "--damping",

@@ -96,6 +96,8 @@ class LevelOutOfRangeError(GraphOTError, IndexError):
 class SingularJacobianError(GraphOTError, RuntimeError):
     """The Newton matrix could not be factored.
 
+    Raised by the condensed factor inside ``graph_ot.newton``;
+    ``newton_solve`` reports it as the status ``singular_jacobian``.
     Carries a reciprocal-condition estimate when one is available so the
     caller can distinguish exact singularity from severe ill-conditioning.
     """

@@ -4,21 +4,22 @@ The residual uses the explicit left-rectangle rule: residual level l couples
 only time levels l and l+1, and its coefficient on level l+1 is the
 identity.  Once the first-level tree velocities v^1 are fixed, a Newton step
 is a forward sweep in time.  Each step is therefore solved by block
-elimination in time, the condensing step of multiple shooting.  In time
-order, the columns of levels 2..M+1 against every row but the terminal
-density rows form a lower triangular block, factored without fill; the
-(N-1) x (N-1) Schur complement on v^1 is factored densely.  Large problems
-form that Schur complement by a forward sweep over the time levels, one
-sparse x dense product per level; small ones, where the per-level overhead
-of the sweep outweighs its work, by SuperLU solves with the triangular
-factor.  A size rule on the per-level work picks one (see
-``_CondensedFactor``).
+elimination in time, the condensing step of multiple shooting.  The
+unknowns and the residual are laid out level by level (see
+``graph_ot.system``), so the columns of levels 2..M+1 against every row but
+the terminal density rows, which come last, are one contiguous lower
+triangular block, factored without fill; the (N-1) x (N-1) Schur
+complement on v^1 is factored densely.  Large problems form that Schur
+complement by a forward sweep over the time levels, one sparse x dense
+product per level; small ones, where the per-level overhead of the sweep
+outweighs its work, by SuperLU solves with the triangular factor.  A size
+rule on the per-level work picks one (see ``_CondensedFactor``).
 
-The analytic Jacobian has the same entries at every level, shifted by N-1
-rows and columns, and they depend only on the graph, the spanning tree and
-M.  The first analytic assembly of a problem therefore builds one level's
-entries as a template, cached on the TransportProblem, with a sparse
-operator from six per-edge terms to the entry values.  Each assembly
+The analytic Jacobian has the same entries at every level, shifted by
+2(N-1) rows and columns, and they depend only on the graph, the spanning
+tree and M.  The first analytic assembly of a problem therefore builds one
+level's entries as a template, cached on the TransportProblem, with a
+sparse operator from six per-edge terms to the entry values.  Each assembly
 evaluates those terms for all M levels as (M, E) arrays and lays the levels
 out in CSR order in one vectorized pass.
 
@@ -154,21 +155,19 @@ def default_initial_guess(problem: TransportProblem) -> np.ndarray:
 _FLUX_TAIL, _FLUX_HEAD, _WEIGHT, _KIN_TAIL, _KIN_HEAD, _KIN_DIFF = range(6)
 _EDGE_TERMS = 6
 
-# column classes of a template entry: density columns of the previous level
-# (absent at level 1), of the next level (absent at level M), velocity columns
-_PREV, _NEXT, _VELOCITY = 0, 1, 2
-
-
 @dataclass(frozen=True)
 class _JacobianTemplate:
     """The Jacobian entries of one time level, shared by all M levels.
 
-    Level l (0-based) shifts every entry by l*(N-1) rows and columns, so
-    entry k sits in column ``cols[k] + offsets[l]``.  Its value is
-    ``constants[k]`` plus the level's edge terms times column k of
-    ``operator``.  Entries are sorted by row and column with the density
-    rows first, so laying the levels out one after another within each row
-    block gives CSR order.
+    Residual level l (0-based) holds rows 2(N-1)l .. 2(N-1)(l+1) - 1, F_v
+    before F_rho.  Its entries lie in the same range of columns shifted
+    back by N-1: the velocities and densities of time level l+1, then
+    those of level l+2.  So entry k sits in column ``cols[k] + offsets[l]``,
+    ``cols`` starting at -(N-1), with one exception: the first level's
+    velocities v^1 take columns 0..N-2, where the fixed densities mu would
+    be.  Entry k's value is ``constants[k]`` plus the level's edge terms
+    times column k of ``operator``.  Entries are sorted by row and column,
+    so the levels laid out one after another are in CSR order.
     """
 
     cols: np.ndarray
@@ -176,10 +175,9 @@ class _JacobianTemplate:
     constants: np.ndarray
     operator: sp.csr_matrix  # (_EDGE_TERMS * E, entries)
     structural: np.ndarray  # stored even where the value is zero
-    prev_level: np.ndarray
-    next_level: np.ndarray
-    density_entries: int
-    row_starts: np.ndarray  # first entry of each density row, then velocity row
+    own_density: np.ndarray  # columns of mu at the first level
+    next_density: np.ndarray  # columns of nu at the last level
+    row_starts: np.ndarray  # first entry of each row
 
 
 def _row_entries(matrix: sp.csr_matrix, rows: np.ndarray):
@@ -212,13 +210,16 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
     tau = problem.tau
     idx = np.arange(n1)
     edge = np.arange(ne)
-    col_v0 = (m - 1) * n1
-    row_v0 = m * n1
+    # rows F_v, then F_rho; columns the level's velocities and densities,
+    # then the next level's
+    rho_row = n1
+    v_own, rho_own, v_next, rho_next = -n1, 0, n1, 2 * n1
 
     # identities: +I on the next level, -I on the same level
-    const_rows = np.concatenate([idx, idx, row_v0 + idx, row_v0 + idx])
-    const_cols = np.concatenate([idx, idx - n1, col_v0 + n1 + idx, col_v0 + idx])
-    const_cls = np.repeat([_NEXT, _PREV, _VELOCITY, _VELOCITY], n1)
+    const_rows = np.concatenate([idx, idx, rho_row + idx, rho_row + idx])
+    const_cols = np.concatenate(
+        [v_next + idx, v_own + idx, rho_next + idx, rho_own + idx]
+    )
     const_vals = np.repeat([1.0, -1.0, 1.0, -1.0], n1)
 
     # density residual: tau * flux derivative on the same level's densities
@@ -233,15 +234,15 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
     # a unit increase of any interior density lowers rho_N by one
     last = ~direct
     hits = int(last.sum())
-    flux_rows = np.concatenate([er[direct], np.repeat(er[last], n1)])
-    flux_cols = np.concatenate([ec[direct], np.tile(idx, hits)]) - n1
+    flux_rows = rho_row + np.concatenate([er[direct], np.repeat(er[last], n1)])
+    flux_cols = rho_own + np.concatenate([ec[direct], np.tile(idx, hits)])
     flux_terms = np.concatenate([et[direct], np.repeat(et[last], n1)])
     flux_coef = np.concatenate([ev[direct], -np.repeat(ev[last], n1)])
 
     # density residual: velocity derivative d(v*theta)/dv = theta(.,.,v),
     # the rows of incidence . diag(sqrt(w) theta) . expansion
     i, e, sign = _row_entries(g.incidence, idx)
-    pair_rows = [i]
+    pair_rows = [rho_row + i]
     pair_edges = [e]
     pair_terms = [_WEIGHT * ne + e]
     pair_coef = [tau * sign]
@@ -260,14 +261,14 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
             f, e, _ = _row_entries(incident, node)
             other = (g.tail[e] != tree.tail[f]) | (g.head[e] != tree.head[f])
             f, e = f[other], e[other]
-            pair_rows.append(row_v0 + f)
+            pair_rows.append(f)
             pair_edges.append(e)
             pair_terms.append(block * ne + e)
             pair_coef.append(end_sign[f])
     f, e, _ = _row_entries(g.tail_matrix, tree.tail)
     mine = g.head[e] == tree.head[f]
     f, e = f[mine], e[mine]
-    pair_rows.append(row_v0 + f)
+    pair_rows.append(f)
     pair_edges.append(e)
     pair_terms.append(_KIN_DIFF * ne + e)
     pair_coef.append(s[f])
@@ -278,15 +279,10 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
     k, c, factor = _row_entries(tree.expansion, pair_edges)
 
     rows = np.concatenate([const_rows, flux_rows, pair_rows[k]])
-    cols = np.concatenate([const_cols, flux_cols, col_v0 + c])
-    cls = np.concatenate(
-        [const_cls, np.full(flux_rows.size, _PREV), np.full(k.size, _VELOCITY)]
-    )
-    width = col_v0 + 3 * n1
-    key = (rows * 3 + cls) * width + cols + n1
-    entry, inverse = np.unique(key, return_inverse=True)
-    rows = entry // (3 * width)
-    cls = entry // width % 3
+    cols = np.concatenate([const_cols, flux_cols, v_own + c])
+    width = 4 * n1
+    entry, inverse = np.unique(rows * width + cols - v_own, return_inverse=True)
+    rows, cols = entry // width, entry % width + v_own
     n_const = const_rows.size
     n_direct = n_const + flux_rows.size
 
@@ -302,14 +298,13 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
         shape=(_EDGE_TERMS * ne, entry.size),
     )
     return _JacobianTemplate(
-        cols=entry % width - n1,
-        offsets=n1 * np.arange(m)[:, None],
+        cols=cols,
+        offsets=2 * n1 * np.arange(m)[:, None],
         constants=constants,
         operator=operator,
         structural=structural,
-        prev_level=cls == _PREV,
-        next_level=cls == _NEXT,
-        density_entries=int(np.searchsorted(rows, n1)),
+        own_density=(cols >= rho_own) & (cols < v_next),
+        next_density=cols >= rho_next,
         row_starts=np.flatnonzero(np.diff(rows, prepend=-1)),
     )
 
@@ -343,18 +338,14 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
 
     values = t.constants + terms @ t.operator
     keep = t.structural | (values != 0.0)
-    keep[0, t.prev_level] = False
-    keep[-1, t.next_level] = False
+    keep[0, t.own_density] = False
+    keep[-1, t.next_density] = False
     cols = t.cols + t.offsets
+    cols[0, t.cols < 0] += n1  # v^1 takes the place of mu
     counts = np.add.reduceat(keep, t.row_starts, axis=1, dtype=np.intp)
-
-    d = t.density_entries
-    data = np.concatenate([values[:, :d][keep[:, :d]], values[:, d:][keep[:, d:]]])
-    indices = np.concatenate([cols[:, :d][keep[:, :d]], cols[:, d:][keep[:, d:]]])
-    row_counts = np.concatenate([counts[:, :n1].ravel(), counts[:, n1:].ravel()])
-    indptr = np.concatenate([[0], np.cumsum(row_counts)])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
     size = state_size(problem)
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    return sp.csr_matrix((values[keep], cols[keep], indptr), shape=(size, size))
 
 
 def assemble_jacobian_fd(problem: TransportProblem, x: np.ndarray) -> sp.csr_matrix:
@@ -371,19 +362,19 @@ def assemble_jacobian_fd(problem: TransportProblem, x: np.ndarray) -> sp.csr_mat
     m = problem.steps
     n1 = problem.graph.node_count - 1
     x = np.asarray(x, dtype=float)
-    base = assemble_residual(problem, x).reshape(2, m, n1)
+    base = assemble_residual(problem, x).reshape(m, 2, n1)
     steps = _FD_STEP * (1.0 + np.abs(x))
 
-    # the column of each unknown by field, time level 1..M+1 and node; -1
-    # marks the fixed endpoint densities
-    density = np.full((m + 1, n1), -1)
-    density[1:m] = np.arange((m - 1) * n1).reshape(m - 1, n1)
-    velocity = (m - 1) * n1 + np.arange((m + 1) * n1).reshape(m + 1, n1)
-    rows = np.arange(2 * m * n1).reshape(2, m, n1)  # block, level, node
+    # the column of each unknown by time level 1..M+1, field (velocity,
+    # density) and node: v^1 first, and -1 marks the fixed endpoint densities
+    unknowns = np.arange(-n1, (2 * m + 1) * n1).reshape(m + 1, 2, n1)
+    unknowns[0] = [np.arange(n1), np.full(n1, -1)]
+    unknowns[m, 1] = -1
+    rows = np.arange(2 * m * n1).reshape(m, 2, n1)  # level, field, node
     level = np.arange(m)
 
     entries = []
-    for columns in (density, velocity):
+    for columns in (unknowns[:, 1], unknowns[:, 0]):
         for parity in (0, 1):
             # residual level l sees the perturbed one of levels l and l+1;
             # where that is a fixed endpoint density its differences are zero
@@ -395,11 +386,11 @@ def assemble_jacobian_fd(problem: TransportProblem, x: np.ndarray) -> sp.csr_mat
                     continue
                 xp = x.copy()
                 xp[perturbed] += steps[perturbed]
-                diff = assemble_residual(problem, xp).reshape(2, m, n1) - base
+                diff = assemble_residual(problem, xp).reshape(m, 2, n1) - base
                 col = touched[:, i]
-                vals = diff / steps[col][:, None]
+                vals = diff / steps[col][:, None, None]
                 nz = np.nonzero(vals)
-                entries.append((rows[nz], col[nz[1]], vals[nz]))
+                entries.append((rows[nz], col[nz[0]], vals[nz]))
 
     r, c, v = (np.concatenate(a) for a in zip(*entries))
     size = state_size(problem)
@@ -422,27 +413,8 @@ _SWEEP_MIN_WORK = 1e5
 _getrf = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
 
 
-def _time_order(m: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column orders (new position -> old index) that split J in time.
-
-    Rows run F_rho^1, F_v^1, ..., F_rho^{M-1}, F_v^{M-1}, F_v^M, with the
-    terminal rows F_rho^M last; columns run v^1, then rho^l, v^l for
-    l = 2..M, then v^{M+1}.
-    """
-    block = n1 * np.arange(m + 1)[:, None] + np.arange(n1)
-    rho_rows, v_rows = block[:m], m * n1 + block[:m]
-    rows = np.concatenate(
-        [np.stack([rho_rows[:-1], v_rows[:-1]], axis=1).ravel(), v_rows[-1], rho_rows[-1]]
-    )
-    rho_cols, v_cols = block[: m - 1], (m - 1) * n1 + block
-    cols = np.concatenate(
-        [v_cols[0], np.stack([rho_cols, v_cols[1:m]], axis=1).ravel(), v_cols[m]]
-    )
-    return rows, cols
-
-
 def _sweep_schur(
-    a11: sp.csc_matrix, a12: sp.csc_matrix, a21: sp.csc_matrix, a22: sp.csc_matrix
+    a11: sp.csr_matrix, a12: sp.csr_matrix, a21: sp.csr_matrix, a22: sp.csr_matrix
 ) -> np.ndarray:
     """K = A21 - A22 A12^-1 A11 by block forward substitution in time.
 
@@ -450,7 +422,8 @@ def _sweep_schur(
     of A12, N-1 of them at the last level.  A12 must be block lower
     bidiagonal: a diagonal matrix D_k on each diagonal block and one
     sub-diagonal block L_k per level; A11 must lie in the rows of level 0.
-    Then Y_0 = D_0^-1 A11 and Y_k = -D_k^-1 L_k Y_{k-1}, one sparse x dense
+    Each level's D_k and L_k are read from its CSR rows of A12.  Then
+    Y_0 = D_0^-1 A11 and Y_k = -D_k^-1 L_k Y_{k-1}, one sparse x dense
     product per level with one level's block held at a time, and only the
     levels that A22 touches are multiplied into K.  Any other pattern
     raises ValueError.  A zero in D makes A12 singular, which its SuperLU
@@ -458,37 +431,40 @@ def _sweep_schur(
     """
     top, n1 = a11.shape
     width = 2 * n1
-    entries = a12.tocoo()
-    r, c, v = entries.row, entries.col, entries.data
-    level = r // width
-    on_diagonal = r == c
-    if not np.all(on_diagonal | (c // width == level - 1)) or (
-        a11.nnz and a11.indices.max() >= width
-    ):
-        raise ValueError(
-            "the level sweep needs A12 block lower bidiagonal in time, with "
-            "diagonal matrices on its diagonal blocks, and A11 within the "
-            "rows of the first level"
-        )
-    d = np.bincount(r[on_diagonal], v[on_diagonal], minlength=top)
-    below = ~on_diagonal
-    r, c, level = r[below], c[below], level[below]
-    # -D_k^-1 L_k, stacked by rows, each block in its previous level's columns
-    lower = sp.csr_matrix(
-        (-v[below] / d[r], (r, c - (level - 1) * width)), shape=(top, width)
-    )
-    ptr = lower.indptr
-    touched = np.unique(np.flatnonzero(np.diff(a22.indptr)) // width)
+    ptr = a12.indptr
+    touched = np.unique(a22.indices // width)
+    bidiagonal = a11.indptr[min(width, top)] == a11.nnz  # A11 in level 0
+    d = np.empty(top)
     # per level up to the last that A22 touches: -D_k^-1 L_k (none at level
     # 0) and A22's columns of the level (none where they are all zero)
     steps = []
-    for k in range(touched[-1] + 1 if touched.size else 0):
+    for k in range(-(-top // width)):
         r0, r1 = k * width, min((k + 1) * width, top)
+        row = np.repeat(np.arange(r0, r1), np.diff(ptr[r0 : r1 + 1]))
+        col, val = a12.indices[ptr[r0] : ptr[r1]], a12.data[ptr[r0] : ptr[r1]]
+        on_diagonal = col == row
+        below = ~on_diagonal
+        bidiagonal = bidiagonal and np.all(on_diagonal | (col // width == k - 1))
+        if not bidiagonal:
+            raise ValueError(
+                "the level sweep needs A12 block lower bidiagonal in time, with "
+                "diagonal matrices on its diagonal blocks, and A11 within the "
+                "rows of the first level"
+            )
+        d[r0:r1] = np.bincount(
+            row[on_diagonal] - r0, val[on_diagonal], minlength=r1 - r0
+        )
+        if not touched.size or k > touched[-1]:
+            continue
         block = None
         if k:
-            span = slice(ptr[r0], ptr[r1])
+            count = np.bincount(row[below] - r0, minlength=r1 - r0)
             block = sp.csr_matrix(
-                (lower.data[span], lower.indices[span], ptr[r0 : r1 + 1] - ptr[r0]),
+                (
+                    -val[below] / d[row[below]],
+                    col[below] - (k - 1) * width,
+                    np.concatenate([[0], np.cumsum(count)]),
+                ),
                 shape=(r1 - r0, width),
             )
         steps.append((block, a22[:, r0:r1] if k in touched else None))
@@ -508,12 +484,16 @@ def _sweep_schur(
 class _CondensedFactor:
     """Block elimination of the Newton matrix in time.
 
-    In the order of ``_time_order`` the Jacobian is [[A11, A12], [A21, A22]]
-    with A12 square and lower triangular: each residual level touches only
-    its own level and the next, whose coefficient is the identity.  Once the
-    first-level tree velocities v^1 are fixed, the system is a forward sweep
-    in time.  A12 is factored as it stands, without fill, and the (N-1) x
-    (N-1) Schur complement K = A21 - A22 A12^-1 A11 densely.
+    The unknowns and the residual are laid out level by level, v^1 first
+    and the terminal density rows F_rho^M last (see ``graph_ot.system``).
+    Split N-1 columns from the start and N-1 rows from the end, the
+    Jacobian as it stands is [[A11, A12], [A21, A22]], and the four blocks
+    are slices of it.  A12 is square and lower triangular with the identity
+    on its diagonal: each residual level touches only its own level and the
+    next, whose coefficient is the identity.  Once the first-level tree
+    velocities v^1 are fixed, the system is a forward sweep in time.  A12 is
+    factored as it stands, without fill, and the (N-1) x (N-1) Schur
+    complement K = A21 - A22 A12^-1 A11 densely.
 
     K is formed one of two ways, chosen by the per-level work
     W = nnz(strict lower A12) (N-1) / M.  From W >= _SWEEP_MIN_WORK,
@@ -549,26 +529,14 @@ class _CondensedFactor:
     def __init__(self, problem: TransportProblem, matrix: sp.spmatrix):
         m = problem.steps
         n1 = problem.graph.node_count - 1
-        size = 2 * m * n1
-        self.rows, self.cols = _time_order(m, n1)
-        top = size - n1
-        coo = matrix.tocoo()
-        # argsort inverts a permutation: old index -> new position
-        r, c = np.argsort(self.rows)[coo.row], np.argsort(self.cols)[coo.col]
-
-        def block(keep, row0, col0, shape):
-            entries = (coo.data[keep], (r[keep] - row0, c[keep] - col0))
-            return sp.csc_matrix(entries, shape=shape)
-
-        upper, left = r < top, c < n1
-        self.a11 = block(upper & left, 0, 0, (top, n1))
-        a12 = block(upper & ~left, 0, n1, (top, top))
-        a21 = block(~upper & left, top, 0, (n1, n1))
-        self.a22 = block(~upper & ~left, top, n1, (n1, top))
+        top = 2 * m * n1 - n1
+        matrix = sp.csr_matrix(matrix)
+        self.a11, a12 = matrix[:top, :n1], matrix[:top, n1:]
+        a21, self.a22 = matrix[top:, :n1], matrix[top:, n1:]
         try:
             # natural order with diagonal pivots keeps the triangle: no fill
             self.a12_lu = spla.splu(
-                a12,
+                a12.tocsc(),
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
@@ -605,21 +573,16 @@ class _CondensedFactor:
         if self.singular:
             return np.full(b.shape, np.nan)
         n1 = self.a11.shape[1]
-        x = np.empty_like(b)
         if trans == "N":
-            c = b[self.rows]
-            head, tail = c[:-n1], c[-n1:]
+            head, tail = b[:-n1], b[-n1:]
             y1 = self._schur_solve(tail - self.a22 @ self.a12_lu.solve(head), 0)
             y2 = self.a12_lu.solve(head - self.a11 @ y1)
-            x[self.cols] = np.concatenate([y1, y2])
-        else:
-            d = b[self.cols]
-            head, tail = d[:n1], d[n1:]
-            z = self.a12_lu.solve(tail, trans="T")
-            w2 = self._schur_solve(head - self.a11.T @ z, 1)
-            w1 = self.a12_lu.solve(tail - self.a22.T @ w2, trans="T")
-            x[self.rows] = np.concatenate([w1, w2])
-        return x
+            return np.concatenate([y1, y2])
+        head, tail = b[:n1], b[n1:]
+        z = self.a12_lu.solve(tail, trans="T")
+        w2 = self._schur_solve(head - self.a11.T @ z, 1)
+        w1 = self.a12_lu.solve(tail - self.a22.T @ w2, trans="T")
+        return np.concatenate([w1, w2])
 
     def _schur_solve(self, b: np.ndarray, trans: int) -> np.ndarray:
         return scipy.linalg.lu_solve(
@@ -671,7 +634,9 @@ def newton_solve(
 ) -> SolveReport:
     """Solve the discrete geodesic equations by (quasi-)Newton iteration.
 
-    Stops when the Euclidean residual norm drops below the tolerance or the
+    ``x0`` defaults to ``default_initial_guess``; build another with
+    ``pack_fields`` or ``pack``, which know the unknowns' layout.  Stops
+    when the Euclidean residual norm drops below the tolerance or the
     iteration budget is exhausted.  Divergence, non-finite residuals and an
     exactly singular Jacobian are reported through the status, never
     raised; the report then holds the last iterate.

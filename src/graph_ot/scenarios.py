@@ -104,9 +104,9 @@ class ScenarioSpec:
     normalize: bool = False
     steps: int | None = None
     theta: str | None = None
-    jacobian: str = "analytic"
-    tolerance: float = 1e-10
-    max_iterations: int = 100
+    jacobian: str = SolveConfig.jacobian
+    tolerance: float = SolveConfig.tolerance
+    max_iterations: int = SolveConfig.max_iterations
     # None means the per-scenario default (see SCENARIOS)
     damping: bool | None = None
     tree_files: tuple[str, ...] = ()

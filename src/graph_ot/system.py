@@ -14,12 +14,17 @@ conservation eliminates the last density component.  The resulting unknown
 vector has length 2*M*(N-1) and the residual is square, so the two-point
 boundary problem becomes a root-finding problem.
 
-Unknown vector layout (all blocks row-major in time):
+Both vectors are laid out level by level in time, each block of N-1
+entries (tree edges for velocities, nodes 1..N-1 for densities):
 
-    [ rho^2 .. rho^M restricted to nodes 1..N-1 ;  v^1 .. v^{M+1} on tree edges ]
+    unknowns   [ v^1 ; v^2, rho^2 ; ... ; v^M, rho^M ; v^{M+1} ]
+    residual   [ F_v^1, F_rho^1 ; ... ; F_v^M, F_rho^M ]
 
-Residual layout: density residuals F_rho^1..F_rho^M (nodes 1..N-1), then
-velocity residuals F_v^1..F_v^M (tree edges).
+so residual level l and the unknowns of levels l and l+1 are contiguous
+ranges, and the terminal density rows F_rho^M come last.  Only this module
+and the Newton matrix in ``graph_ot.newton`` depend on the order: build a
+state with ``pack_fields`` or ``pack`` and read it with ``unpack`` or
+``level_fields``.
 """
 
 from __future__ import annotations
@@ -141,6 +146,7 @@ def state_size(problem: TransportProblem) -> int:
 
 
 def _split(problem: TransportProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(interior densities (M-1, N-1), tree velocities (M+1, N-1)) of x."""
     n1 = problem.graph.node_count - 1
     m = problem.steps
     x = np.asarray(x, dtype=float)
@@ -148,8 +154,9 @@ def _split(problem: TransportProblem, x: np.ndarray) -> tuple[np.ndarray, np.nda
         raise DimensionMismatchError(
             f"state must have shape ({2 * m * n1},), got {x.shape}"
         )
-    nd = (m - 1) * n1
-    return x[:nd].reshape(m - 1, n1), x[nd:].reshape(m + 1, n1)
+    levels = x[n1:-n1].reshape(m - 1, 2, n1)  # (v^l, rho^l) for l = 2..M
+    vel = np.concatenate([x[None, :n1], levels[:, 0], x[None, -n1:]])
+    return levels[:, 1], vel
 
 
 def _full_densities(problem: TransportProblem, interior: np.ndarray) -> np.ndarray:
@@ -170,7 +177,7 @@ def pack_fields(
     interior_densities: np.ndarray,
     tree_velocities: np.ndarray,
 ) -> np.ndarray:
-    """Assemble the unknown vector from its two field blocks.
+    """Lay two field blocks out as the unknown vector, level by level.
 
     ``interior_densities`` has shape (M-1, N-1) covering levels 2..M,
     ``tree_velocities`` (M+1, N-1) covering levels 1..M+1.
@@ -187,7 +194,8 @@ def pack_fields(
         raise DimensionMismatchError(
             f"tree velocities must have shape ({m + 1}, {n1}), got {vel.shape}"
         )
-    return np.concatenate([interior.ravel(), vel.ravel()])
+    levels = np.stack([vel[1:m], interior], axis=1)
+    return np.concatenate([vel[0], levels.ravel(), vel[m]])
 
 
 def pack(problem: TransportProblem, trajectory: Trajectory) -> np.ndarray:
@@ -212,7 +220,7 @@ def unpack(problem: TransportProblem, x: np.ndarray) -> Trajectory:
     rho = _full_densities(problem, interior)
     edge_vel = problem.tree.expand_velocities(vel)
     times = np.linspace(0.0, 1.0, problem.steps + 1)
-    return Trajectory(times, rho, vel.copy(), edge_vel)
+    return Trajectory(times, rho, vel, edge_vel)
 
 
 def recover_last_density(partial: np.ndarray) -> np.ndarray:
@@ -382,7 +390,7 @@ def assemble_residual(problem: TransportProblem, x: np.ndarray) -> np.ndarray:
     """
     rho, vel, edge_vel = level_fields(problem, x)
     f_rho, f_v = residual_fields(problem, rho, vel, edge_vel)
-    return np.concatenate([f_rho.ravel(), f_v.ravel()])
+    return np.stack([f_v, f_rho], axis=1).ravel()
 
 
 def explicit_upwind_update(

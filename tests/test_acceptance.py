@@ -27,9 +27,11 @@ from graph_ot import (
     explicit_upwind_update,
     hamiltonian_drift,
     lattice_1d_periodic,
+    level_fields,
     map_error_1d,
     newton_solve,
     pack,
+    pack_fields,
     random_connected_graph,
     run_scenario,
     seeded_random_density,
@@ -184,8 +186,9 @@ def test_criterion_5_jacobian_correctness():
                 x = default_initial_guess(p) + rng.normal(0.0, 0.05, state_size(p))
                 if model.velocity_dependent:
                     # stay away from the switching set |v| <= 1e-6
-                    vel = x[(p.steps - 1) * (p.graph.node_count - 1):]
+                    rho, vel, _ = level_fields(p, x)
                     vel[np.abs(vel) < 1e-3] = 1e-3
+                    x = pack_fields(p, rho[1 : p.steps, :-1], vel)
                 ja = assemble_jacobian_analytic(p, x).toarray()
                 jf = assemble_jacobian_fd(p, x).toarray()
                 scale = max(float(np.abs(ja).max()), 1.0)

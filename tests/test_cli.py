@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from graph_ot import read_artifact
+from graph_ot import SolveConfig, read_artifact
 from graph_ot.cli import _spec_from_args, build_parser, main
 
 
@@ -84,6 +84,15 @@ def test_damping_flag_tri_state():
     assert _spec_from_args(parser.parse_args(["solve"])).damping is None
     assert _spec_from_args(parser.parse_args(["solve", "--damping"])).damping is True
     assert _spec_from_args(parser.parse_args(["solve", "--no-damping"])).damping is False
+
+
+def test_solver_defaults_come_from_solve_config(solve_args):
+    args, _ = solve_args
+    spec = _spec_from_args(build_parser().parse_args(args))
+    defaults = SolveConfig()
+    assert spec.tolerance == defaults.tolerance
+    assert spec.max_iterations == defaults.max_iterations
+    assert spec.jacobian == defaults.jacobian
 
 
 # -- happy path -------------------------------------------------------------------

@@ -9,7 +9,6 @@ import graph_ot.newton
 from graph_ot import (
     ARITHMETIC_MEAN,
     DimensionMismatchError,
-    SingularJacobianError,
     SolveConfig,
     TransportProblem,
     UPWIND,
@@ -29,11 +28,14 @@ from graph_ot import (
     level_fields,
     newton_solve,
     pack,
+    pack_fields,
     random_connected_graph,
     seeded_random_density,
     state_size,
     uniform_density,
+    unpack,
 )
+from graph_ot.errors import SingularJacobianError
 from graph_ot.newton import _CondensedFactor
 
 
@@ -80,14 +82,13 @@ def test_config_defaults():
 def test_default_guess_is_linear_interpolation():
     p = two_node_problem(steps=2)
     x = default_initial_guess(p)
-    # single interior level at s = 1/2, then three zero velocity levels
-    np.testing.assert_array_equal(x, [0.5, 0.0, 0.0, 0.0])
+    # level by level: v^1, then v^2 and the one interior density at
+    # s = 1/2, then v^3; every velocity is zero
+    np.testing.assert_array_equal(x, [0.0, 0.0, 0.5, 0.0])
 
 
 def test_default_guess_rows_on_simplex():
     p = dumbbell_problem(steps=6)
-    from graph_ot import unpack
-
     traj = unpack(p, default_initial_guess(p))
     np.testing.assert_allclose(traj.densities.sum(axis=1), 1.0, atol=1e-15)
     assert traj.densities.min() >= 0.0
@@ -219,12 +220,41 @@ def test_fd_jacobian_matches_analytic(model):
         x = default_initial_guess(p) + rng.normal(0.0, 0.1, state_size(p))
         if model.velocity_dependent:
             # keep velocities away from the upwind switching set
-            vel = x[4 * 5 :]
-            vel[np.abs(vel) < 1e-3] = 1e-3
+            x = velocities_clear_of_zero(p, x)
         ja = assemble_jacobian_analytic(p, x).toarray()
         jf = assemble_jacobian_fd(p, x).toarray()
         scale = np.abs(ja).max()
         assert np.abs(ja - jf).max() <= 1e-5 * max(scale, 1.0)
+
+
+def velocities_clear_of_zero(p, x):
+    """x with every tree velocity of magnitude below 1e-3 set to 1e-3."""
+    rho, vel, _ = level_fields(p, x)
+    vel[np.abs(vel) < 1e-3] = 1e-3
+    return pack_fields(p, rho[1 : p.steps, :-1], vel)
+
+
+def positions(p):
+    """Where the unknowns and the residual entries sit, by level and node.
+
+    Returns (rho_cols, v_cols, rho_rows, v_rows): the columns of the
+    densities and of the tree velocities of levels 1..M+1, found by packing
+    the unknowns' own numbers with pack_fields (-1 marks the fixed endpoint
+    densities), and the rows of the density and velocity residuals of
+    levels 1..M, which the residual lays out as (F_v^l, F_rho^l) level by
+    level.
+    """
+    m, n1 = p.steps, p.graph.node_count - 1
+    ids = np.arange(2 * m * n1)
+    nd = (m - 1) * n1
+    where = np.argsort(
+        pack_fields(p, ids[:nd].reshape(m - 1, n1), ids[nd:].reshape(m + 1, n1))
+    )
+    rho_cols = np.full((m + 1, n1), -1)
+    rho_cols[1:m] = where[:nd].reshape(m - 1, n1)
+    v_cols = where[nd:].reshape(m + 1, n1)
+    v_rows, rho_rows = np.arange(2 * m * n1).reshape(m, 2, n1).transpose(1, 0, 2)
+    return rho_cols, v_cols, rho_rows, v_rows
 
 
 def loop_jacobian(problem, x):
@@ -243,7 +273,7 @@ def loop_jacobian(problem, x):
 
     idx = np.arange(n1)
     ones = np.ones(n1)
-    col_v0, row_v0 = (m - 1) * n1, m * n1
+    rho_cols, v_cols, rho_rows, v_rows = positions(problem)
     sel = sp.csr_matrix(
         (
             np.concatenate([0.5 * tau * tree.sqrt_weights, -0.5 * tau * tree.sqrt_weights]),
@@ -257,12 +287,12 @@ def loop_jacobian(problem, x):
         th = model.theta_values(rt, rh, v)
         p_tail, p_head = model.theta_density_partials(rt, rh, v)
         p_head_own = model.theta_density_partials(rh, rt, -v)[0]
-        row_d, row_v = (lv - 1) * n1, row_v0 + (lv - 1) * n1
+        row_d, row_v = rho_rows[lv - 1], v_rows[lv - 1]
         if lv + 1 <= m:
-            add(row_d + idx, (lv - 1) * n1 + idx, ones)
+            add(row_d, rho_cols[lv], ones)
         if lv >= 2:
-            c0 = (lv - 2) * n1
-            add(row_d + idx, c0 + idx, -ones)
+            c0 = rho_cols[lv - 1]
+            add(row_d, c0, -ones)
             ct, ch = sw * v * p_tail, sw * v * p_head
             er = np.concatenate([g.tail, g.tail, g.head, g.head])
             ec = np.concatenate([g.tail, g.head, g.tail, g.head])
@@ -270,22 +300,22 @@ def loop_jacobian(problem, x):
             keep = er < n1
             er, ec, ev = er[keep], ec[keep], ev[keep]
             direct = ec < n1
-            add(row_d + er[direct], c0 + ec[direct], tau * ev[direct])
+            add(row_d[er[direct]], c0[ec[direct]], tau * ev[direct])
             last = ~direct
             add(
-                row_d + np.repeat(er[last], n1),
-                c0 + np.tile(idx, int(last.sum())),
+                row_d[np.repeat(er[last], n1)],
+                c0[np.tile(idx, int(last.sum()))],
                 -tau * np.repeat(ev[last], n1),
             )
         flux_v = (g.incidence @ sp.diags(sw * th) @ tree.expansion)[:n1].tocoo()
-        add(row_d + flux_v.row, col_v0 + (lv - 1) * n1 + flux_v.col, tau * flux_v.data)
-        add(row_v + idx, col_v0 + lv * n1 + idx, ones)
-        add(row_v + idx, col_v0 + (lv - 1) * n1 + idx, -ones)
+        add(row_d[flux_v.row], v_cols[lv - 1][flux_v.col], tau * flux_v.data)
+        add(row_v, v_cols[lv], ones)
+        add(row_v, v_cols[lv - 1], -ones)
         dg = g.tail_matrix @ sp.diags(2.0 * v * p_tail) + g.head_matrix @ sp.diags(
             2.0 * v * p_head_own
         )
         blk = (sel @ dg @ tree.expansion).tocoo()
-        add(row_v + blk.row, col_v0 + (lv - 1) * n1 + blk.col, blk.data)
+        add(row_v[blk.row], v_cols[lv - 1][blk.col], blk.data)
     size = state_size(problem)
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -357,13 +387,13 @@ def upwind_iterate(p, rng, ties):
     """An iterate with mixed-sign velocities at least 1e-3 from zero, or with
     some tree velocities exactly zero while every other edge stays clear of
     the upwind switch."""
-    n1 = p.graph.node_count - 1
     while True:
         x = default_initial_guess(p) + rng.normal(0.0, 0.05, state_size(p))
-        vel = x[(p.steps - 1) * n1 :].reshape(p.steps + 1, n1)
+        rho, vel, _ = level_fields(p, x)
         vel[np.abs(vel) < 1e-3] = 1e-3
         if ties:
             vel[:, ::3] = 0.0
+        x = pack_fields(p, rho[1 : p.steps, :-1], vel)
         edge = p.tree.expand_velocities(vel)
         tree_edge = np.diff(p.tree.expansion.indptr) == 1
         clear = np.abs(edge[:, ~tree_edge]).min() >= 1e-3
@@ -415,6 +445,26 @@ def test_analytic_jacobian_matches_fd_edge_cases(make, ties):
         jf = assemble_jacobian_fd(p, x).toarray()
         scale = max(float(np.abs(ja).max()), 1.0)
         assert np.abs(ja - jf).max() <= 1e-5 * scale
+
+
+@edge_cases
+def test_level_layout_splits_j_without_reordering(make, ties):
+    p = make()
+    m, n1 = p.steps, p.graph.node_count - 1
+    for x in edge_case_iterates(p, ties, count=2):
+        for matrix in (assemble_jacobian_analytic(p, x), assemble_jacobian_fd(p, x)):
+            # all rows but the terminal densities against all columns but v^1
+            a12 = matrix[:-n1, n1:]
+            assert sp.triu(a12, k=1).nnz == 0
+            assert np.all(a12.diagonal() != 0.0)
+    rng = np.random.Generator(np.random.PCG64(13))
+    interior = rng.normal(size=(m - 1, n1))
+    vel = rng.normal(size=(m + 1, n1))
+    x = pack_fields(p, interior, vel)
+    traj = unpack(p, x)
+    np.testing.assert_array_equal(traj.densities[1:m, :n1], interior)
+    np.testing.assert_array_equal(traj.tree_velocities, vel)
+    np.testing.assert_array_equal(pack(p, traj), x)
 
 
 def column_fd(problem, x):
@@ -562,13 +612,10 @@ def doctored(p, row_level, col_level, field):
     residual level ``row_level`` on node 2 of ``field`` at time level
     ``col_level`` (both 1-based).  Residual level l should touch only time
     levels l and l+1."""
-    m, n1 = p.steps, p.graph.node_count - 1
-    if field == "rho":  # the unknown densities of levels 2..M come first
-        col = (col_level - 2) * n1 + 1
-    else:
-        col = (m - 1) * n1 + (col_level - 1) * n1 + 1
+    rho_cols, v_cols, _, v_rows = positions(p)
+    col = (rho_cols if field == "rho" else v_cols)[col_level - 1, 1]
     j = assemble_jacobian_analytic(p, default_initial_guess(p)).tolil()
-    j[m * n1 + (row_level - 1) * n1, col] = 0.25
+    j[v_rows[row_level - 1, 0], col] = 0.25
     return j.tocsr()
 
 
@@ -779,8 +826,8 @@ def test_line_search_failure_keeps_last_iterate():
 
 def test_nonfinite_residual_reported_not_raised():
     p = two_node_problem()
-    x0 = np.zeros(state_size(p))
-    x0[15:] = 1e200  # squared velocities overflow
+    # squared velocities overflow
+    x0 = pack_fields(p, np.zeros((15, 1)), np.full((17, 1), 1e200))
     with np.errstate(over="ignore", invalid="ignore"):
         report = newton_solve(p, x0=x0)
     assert report.status == "nonfinite_residual"

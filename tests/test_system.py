@@ -19,6 +19,7 @@ from graph_ot import (
     hamiltonian,
     kruskal,
     pack,
+    pack_fields,
     random_connected_graph,
     recover_last_density,
     reduced_rhs,
@@ -158,8 +159,8 @@ def test_recover_last_density_examples():
 def test_residual_zero_at_stationary_point(two_node):
     mu = np.array([0.55, 0.45])
     p = TransportProblem(two_node, mu, mu.copy(), 5)
-    x = np.zeros(state_size(p))
-    x[: 4 * 1] = mu[0]  # interior density rows all equal mu
+    # interior density rows all equal mu, velocities zero
+    x = pack_fields(p, np.full((4, 1), mu[0]), np.zeros((6, 1)))
     f = assemble_residual(p, x)
     np.testing.assert_array_equal(f, np.zeros_like(f))
 
@@ -190,7 +191,7 @@ def test_residual_shape_and_finiteness():
 def test_residual_defined_off_simplex():
     # iterates may leave the positive simplex; the residual must still evaluate
     p = two_node_problem(steps=3)
-    x = np.array([-0.2, 1.4, 0.1, 0.2, 0.3, 0.4])
+    x = pack_fields(p, [[-0.2], [1.4]], [[0.1], [0.2], [0.3], [0.4]])
     assert np.all(np.isfinite(assemble_residual(p, x)))
 
 
