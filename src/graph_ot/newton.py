@@ -2,33 +2,43 @@
 
 The residual uses the explicit left-rectangle rule: residual level l couples
 only time levels l and l+1, and its coefficient on level l+1 is the
-identity.  Once the first-level tree velocities v^1 are fixed, a Newton step
-is a forward sweep in time.  Each step is therefore solved by block
-elimination in time, the condensing step of multiple shooting.  The
-unknowns and the residual are laid out level by level (see
-``graph_ot.system``), so the columns of levels 2..M+1 against every row but
-the terminal density rows, which come last, are one contiguous lower
-triangular block, factored without fill; the (N-1) x (N-1) Schur
-complement on v^1 is factored densely.  Large problems form that Schur
-complement by a forward sweep over the time levels, one sparse x dense
-product per level; small ones, where the per-level overhead of the sweep
-outweighs its work, by SuperLU solves with the triangular factor.  A size
-rule on the per-level work picks one (see ``_CondensedFactor``).
+identity.  Once the first level is fixed, a Newton step is a forward sweep
+in time.  Each step is therefore solved by block elimination in time, the
+condensing step of multiple shooting.  The unknowns and the residual are
+laid out level by level (see ``graph_ot.system``), so the columns of levels
+2..M+1 against every row but the terminal density rows, which come last,
+are one contiguous lower triangular block, factored without fill; the
+(N-1) x (N-1) Schur complement on the first level is factored densely.
+Large problems form that Schur complement by a forward sweep over the time
+levels, one sparse x dense product per level; small ones, where the
+per-level overhead of the sweep outweighs its work, by SuperLU solves with
+the triangular factor.  A size rule on the per-level work picks one (see
+``_CondensedFactor``).
 
-The analytic Jacobian has the same entries at every level, shifted by
-2(N-1) rows and columns, and they depend only on the graph, the spanning
-tree and M.  The first analytic assembly of a problem therefore builds one
-level's entries as a template, cached on the TransportProblem, with a
-sparse operator from six per-edge terms to the entry values.  Each assembly
-evaluates those terms for all M levels as (M, E) arrays and lays the levels
-out in CSR order in one vectorized pass.
+The state and the residual keep the spanning-tree gauge, but each Newton
+step is solved in node potentials S, node N's pinned to zero.  Tree edge f
+carries v_f = sqrt(w_f) (S_head - S_tail), so per level C = diag(T, I) maps
+(S, rho) to (v, rho), with T the tree incidence scaled by sqrt(w), and
+R = diag(T^-1, I) maps the velocity rows F_v to the nodal rows
+S^{l+1} - S^l + (tau/2)(G - G_N).  The matrix factored is J^ = R J C, the
+Jacobian of s -> R F(C s): every edge velocity is a difference of two
+potentials, so J^ follows the graph stencil whatever the tree, where J
+carries each edge's whole tree path.  The step is C J^-1 (-R F), J's step
+in exact arithmetic, since Newton's method is affine invariant.
+
+J^ has the same entries at every level, shifted by 2(N-1) rows and columns,
+and they depend only on the graph and M.  The first analytic assembly of a
+problem therefore builds one level's entries as a template, cached on the
+TransportProblem, with a sparse operator from five per-edge terms to the
+entry values.  Each assembly evaluates those terms for all M levels as
+(M, E) arrays and lays the levels out in CSR order in one vectorized pass.
 
 Three Jacobian modes are offered: exact analytic assembly; forward
-differences of ``assemble_residual`` itself, with the columns coloured by
-time level, at most 4(N-1) residual evaluations per Jacobian and nothing
-taken from the template; and a chord mode that factors the analytic
-Jacobian once at the initial iterate and reuses it.  All three solve
-through the same block elimination.
+differences of s -> R F(C s), evaluated from the potentials themselves,
+with the columns coloured by time level, at most 4(N-1) residual
+evaluations per Jacobian and nothing taken from the template; and a chord
+mode that factors the analytic J^ once at the initial iterate and reuses
+it.  All three solve through the same block elimination.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import metrics
@@ -47,6 +58,8 @@ from .graph import WeightedGraph
 from .system import (
     TransportProblem,
     Trajectory,
+    _potential_residual,
+    _split,
     assemble_residual,
     level_fields,
     pack_fields,
@@ -115,8 +128,9 @@ class SolveReport:
     tolerance.  ``cfl_margin`` is the worst local margin
     1 - tau * sum sqrt(w) v^+ over nodes and the M update levels (relevant
     for the upwind model).  ``jacobian_rcond`` is a reciprocal-condition
-    estimate from the first factored Jacobian, 0 when that Jacobian was
-    found singular, None when no factorization happened.
+    estimate of the first matrix factored, the Newton matrix in node
+    potentials J^ = R J C (see the module docstring), 0 when it was found
+    singular, None when no factorization happened.
     """
 
     trajectory: Trajectory
@@ -144,30 +158,108 @@ def default_initial_guess(problem: TransportProblem) -> np.ndarray:
     return pack_fields(problem, interior, np.zeros((m + 1, n1)))
 
 
+# -- node potentials ---------------------------------------------------------
+
+
+class _PotentialGauge:
+    """Tree velocities v = T S of node potentials S, node N's pinned to 0.
+
+    Row f of the (N-1) x (N-1) matrix T holds sqrt(w_f) at the head of tree
+    edge f and -sqrt(w_f) at its tail, node N's column dropped.  With the
+    nodes taken from node N outwards, each after its parent and with the
+    tree edge to its parent, T is lower triangular, so SuperLU factors it
+    in that order without fill.
+    """
+
+    def __init__(self, problem: TransportProblem):
+        tree = problem.tree
+        n1 = problem.graph.node_count - 1
+        f = np.arange(n1)
+        ends = np.concatenate([tree.head, tree.tail])
+        inner = ends < n1
+        self.matrix = sp.csr_matrix(
+            (
+                np.concatenate([tree.sqrt_weights, -tree.sqrt_weights])[inner],
+                (np.concatenate([f, f])[inner], ends[inner]),
+            ),
+            shape=(n1, n1),
+        )
+        links = sp.csr_matrix(
+            (np.ones(n1), (tree.tail, tree.head)), shape=(n1 + 1, n1 + 1)
+        )
+        order, parent = csgraph.breadth_first_order(links, n1, directed=False)
+        child = np.where(parent[tree.head] == tree.tail, tree.head, tree.tail)
+        edge_to_parent = np.empty(n1 + 1, dtype=np.intp)
+        edge_to_parent[child] = f
+        self._nodes = order[1:]
+        self._edges = edge_to_parent[self._nodes]
+        self._lu = spla.splu(
+            self.matrix[self._edges][:, self._nodes].tocsc(),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+
+    def potentials(self, velocities: np.ndarray) -> np.ndarray:
+        """T^-1 v for every row of a (levels, N-1) array, in one solve."""
+        s = np.empty_like(velocities)
+        s[:, self._nodes] = self._lu.solve(velocities[:, self._edges].T).T
+        return s
+
+
+def _gauge(problem: TransportProblem) -> _PotentialGauge:
+    """The problem's factored tree incidence, built on first use."""
+    if problem._potential_gauge is None:
+        problem._potential_gauge = _PotentialGauge(problem)
+    return problem._potential_gauge
+
+
+def _from_potentials(problem: TransportProblem, s: np.ndarray) -> np.ndarray:
+    """C s: the potential blocks of s mapped to tree velocities."""
+    interior, potentials = _split(problem, s)
+    velocities = (_gauge(problem).matrix @ potentials.T).T
+    return pack_fields(problem, interior, velocities)
+
+
+def _to_potentials(problem: TransportProblem, x: np.ndarray) -> np.ndarray:
+    """C^-1 x: the tree velocities of the unknowns replaced by potentials."""
+    interior, velocities = _split(problem, x)
+    return pack_fields(problem, interior, _gauge(problem).potentials(velocities))
+
+
+def _to_nodal_rows(problem: TransportProblem, residual: np.ndarray) -> np.ndarray:
+    """R F: every velocity block F_v of the residual mapped by T^-1."""
+    m = problem.steps
+    n1 = problem.graph.node_count - 1
+    rows = np.array(residual, dtype=float).reshape(m, 2, n1)
+    rows[:, 0] = _gauge(problem).potentials(rows[:, 0])
+    return rows.ravel()
+
+
 # -- Jacobian assembly -------------------------------------------------------
 
 
 # Per-edge terms of one level, each a block of E rows of the template
 # operator: the flux partials sqrt(w) v dtheta/drho at the tail and at the
-# head, the momentum weight sqrt(w) theta, the kinetic partials
-# 2 v dtheta/drho seen from the tail and from the head, and head minus tail
-# of the latter.
-_FLUX_TAIL, _FLUX_HEAD, _WEIGHT, _KIN_TAIL, _KIN_HEAD, _KIN_DIFF = range(6)
-_EDGE_TERMS = 6
+# head, the momentum weight sqrt(w) theta, and the kinetic partials
+# 2 v dtheta/drho seen from the tail and from the head.
+_FLUX_TAIL, _FLUX_HEAD, _WEIGHT, _KIN_TAIL, _KIN_HEAD = range(5)
+_EDGE_TERMS = 5
 
 @dataclass(frozen=True)
 class _JacobianTemplate:
-    """The Jacobian entries of one time level, shared by all M levels.
+    """The entries of J^ at one time level, shared by all M levels.
 
-    Residual level l (0-based) holds rows 2(N-1)l .. 2(N-1)(l+1) - 1, F_v
-    before F_rho.  Its entries lie in the same range of columns shifted
-    back by N-1: the velocities and densities of time level l+1, then
-    those of level l+2.  So entry k sits in column ``cols[k] + offsets[l]``,
-    ``cols`` starting at -(N-1), with one exception: the first level's
-    velocities v^1 take columns 0..N-2, where the fixed densities mu would
-    be.  Entry k's value is ``constants[k]`` plus the level's edge terms
-    times column k of ``operator``.  Entries are sorted by row and column,
-    so the levels laid out one after another are in CSR order.
+    Residual level l (0-based) holds rows 2(N-1)l .. 2(N-1)(l+1) - 1, the
+    nodal rows before F_rho.  Its entries lie in the same range of columns
+    shifted back by N-1: the potentials and densities of time level l+1,
+    then those of level l+2.  So entry k sits in column
+    ``cols[k] + offsets[l]``, ``cols`` starting at -(N-1), with one
+    exception: the first level's potentials S^1 take columns 0..N-2, where
+    the fixed densities mu would be.  Entry k's value is ``constants[k]``
+    plus the level's edge terms times column k of ``operator``.  Entries
+    are sorted by row and column, so the levels laid out one after another
+    are in CSR order.
     """
 
     cols: np.ndarray
@@ -194,31 +286,31 @@ def _row_entries(matrix: sp.csr_matrix, rows: np.ndarray):
 
 
 def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
-    """Entries of one level with their dependence on the edge terms.
+    """Entries of one level of J^ with their dependence on the edge terms.
 
     Includes the chain-rule terms through the eliminated density
-    rho_N = 1 - sum rho_i and through the gauge expansion.  The velocity
-    residual has no density derivative because both supported mobility
-    models have density-independent partials; a model with curved partials
-    would need an extra block here.
+    rho_N = 1 - sum rho_i and through the edge gradient
+    v_e = sqrt(w_e) (S_head - S_tail), S_N = 0.  The nodal rows have no
+    density derivative because both supported mobility models have
+    density-independent partials; a model with curved partials would need
+    an extra block here.
     """
     g = problem.graph
-    tree = problem.tree
     m = problem.steps
     n1 = g.node_count - 1
     ne = g.edge_count
     tau = problem.tau
     idx = np.arange(n1)
     edge = np.arange(ne)
-    # rows F_v, then F_rho; columns the level's velocities and densities,
+    # rows: nodal, then F_rho; columns the level's potentials and densities,
     # then the next level's
     rho_row = n1
-    v_own, rho_own, v_next, rho_next = -n1, 0, n1, 2 * n1
+    s_own, rho_own, s_next, rho_next = -n1, 0, n1, 2 * n1
 
     # identities: +I on the next level, -I on the same level
     const_rows = np.concatenate([idx, idx, rho_row + idx, rho_row + idx])
     const_cols = np.concatenate(
-        [v_next + idx, v_own + idx, rho_next + idx, rho_own + idx]
+        [s_next + idx, s_own + idx, rho_next + idx, rho_own + idx]
     )
     const_vals = np.repeat([1.0, -1.0, 1.0, -1.0], n1)
 
@@ -240,49 +332,37 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
     flux_coef = np.concatenate([ev[direct], -np.repeat(ev[last], n1)])
 
     # density residual: velocity derivative d(v*theta)/dv = theta(.,.,v),
-    # the rows of incidence . diag(sqrt(w) theta) . expansion
+    # the rows of incidence . diag(sqrt(w) theta)
     i, e, sign = _row_entries(g.incidence, idx)
     pair_rows = [rho_row + i]
     pair_edges = [e]
     pair_terms = [_WEIGHT * ne + e]
     pair_coef = [tau * sign]
 
-    # velocity residual: the kinetic sums' derivative, the rows of
-    # sel . diag(2 v dtheta/drho) . expansion with sel picking head minus
-    # tail of tree edge f.  Tree edge f meets both of its own ends; its two
-    # terms enter as one, their difference, which is exactly zero where
-    # they are equal, as it is in the sparse product.
-    s = 0.5 * tau * tree.sqrt_weights
-    for node, end_sign in ((tree.head, s), (tree.tail, -s)):
-        for incident, block in (
-            (g.tail_matrix, _KIN_TAIL),
-            (g.head_matrix, _KIN_HEAD),
-        ):
-            f, e, _ = _row_entries(incident, node)
-            other = (g.tail[e] != tree.tail[f]) | (g.head[e] != tree.head[f])
-            f, e = f[other], e[other]
-            pair_rows.append(f)
-            pair_edges.append(e)
-            pair_terms.append(block * ne + e)
-            pair_coef.append(end_sign[f])
-    f, e, _ = _row_entries(g.tail_matrix, tree.tail)
-    mine = g.head[e] == tree.head[f]
-    f, e = f[mine], e[mine]
-    pair_rows.append(f)
-    pair_edges.append(e)
-    pair_terms.append(_KIN_DIFF * ne + e)
-    pair_coef.append(s[f])
+    # nodal rows: (tau/2) d(G_i - G_N)/dv, where every edge that meets node
+    # i adds 2 v dtheta/drho seen from i's end to G_i; node N's row is
+    # subtracted from every row
+    for incident, block in ((g.tail_matrix, _KIN_TAIL), (g.head_matrix, _KIN_HEAD)):
+        i, e, _ = _row_entries(incident, idx)
+        _, e_last, _ = _row_entries(incident, np.array([n1]))
+        e = np.concatenate([e, np.tile(e_last, n1)])
+        pair_rows += [i, np.repeat(idx, e_last.size)]
+        pair_edges.append(e)
+        pair_terms.append(block * ne + e)
+        pair_coef.append(np.repeat([0.5 * tau, -0.5 * tau], [i.size, n1 * e_last.size]))
 
     pair_rows, pair_edges, pair_terms, pair_coef = (
         np.concatenate(a) for a in (pair_rows, pair_edges, pair_terms, pair_coef)
     )
-    k, c, factor = _row_entries(tree.expansion, pair_edges)
+    # each edge velocity is the difference of its ends' potentials
+    gradient = (sp.diags(-g.sqrt_weights) @ g.incidence.T).tocsr()[:, :n1]
+    k, c, factor = _row_entries(gradient, pair_edges)
 
     rows = np.concatenate([const_rows, flux_rows, pair_rows[k]])
-    cols = np.concatenate([const_cols, flux_cols, v_own + c])
+    cols = np.concatenate([const_cols, flux_cols, s_own + c])
     width = 4 * n1
-    entry, inverse = np.unique(rows * width + cols - v_own, return_inverse=True)
-    rows, cols = entry // width, entry % width + v_own
+    entry, inverse = np.unique(rows * width + cols - s_own, return_inverse=True)
+    rows, cols = entry // width, entry % width + s_own
     n_const = const_rows.size
     n_direct = n_const + flux_rows.size
 
@@ -303,19 +383,21 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
         constants=constants,
         operator=operator,
         structural=structural,
-        own_density=(cols >= rho_own) & (cols < v_next),
+        own_density=(cols >= rho_own) & (cols < s_next),
         next_density=cols >= rho_next,
         row_starts=np.flatnonzero(np.diff(rows, prepend=-1)),
     )
 
 
 def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.csr_matrix:
-    """Exact sparse Jacobian of the residual at x.
+    """Exact sparse Newton matrix J^ = R J C at the state x.
 
-    Fills the problem's cached template with the edge terms of all M levels
-    at once.  Entries of the identity and density-flux blocks are stored
-    even when zero; entries reached only through the gauge expansion are
-    stored where their value is nonzero.
+    J^ is the Jacobian of s -> R F(C s), the residual in node potentials
+    (see the module docstring); x stays in the tree gauge.  Fills the
+    problem's cached template with the edge terms of all M levels at once.
+    Entries of the identity and density-flux blocks are stored even when
+    zero; entries reached through the potentials' edge gradient are stored
+    where their value is nonzero.
     """
     t = problem._jacobian_template
     if t is None:
@@ -332,16 +414,16 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
     th = model.theta_values(rt, rh, v)
     p_tail, p_head = model.theta_density_partials(rt, rh, v)
     p_head_own = model.theta_density_partials(rh, rt, -v)[0]
-    a = 2.0 * v * p_tail
-    b = 2.0 * v * p_head_own
-    terms = np.hstack([sw * v * p_tail, sw * v * p_head, sw * th, a, b, b - a])
+    terms = np.hstack(
+        [sw * v * p_tail, sw * v * p_head, sw * th, 2.0 * v * p_tail, 2.0 * v * p_head_own]
+    )
 
     values = t.constants + terms @ t.operator
     keep = t.structural | (values != 0.0)
     keep[0, t.own_density] = False
     keep[-1, t.next_density] = False
     cols = t.cols + t.offsets
-    cols[0, t.cols < 0] += n1  # v^1 takes the place of mu
+    cols[0, t.cols < 0] += n1  # S^1 takes the place of mu
     counts = np.add.reduceat(keep, t.row_starts, axis=1, dtype=np.intp)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     size = state_size(problem)
@@ -349,24 +431,28 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
 
 
 def assemble_jacobian_fd(problem: TransportProblem, x: np.ndarray) -> sp.csr_matrix:
-    """Forward differences of ``assemble_residual``, coloured by time level.
+    """Forward differences of the residual in potentials, coloured by time level.
 
-    Residual level l involves only the unknowns of levels l and l+1, so one
-    evaluation perturbs one node of one field at every other time level and
-    reads each perturbed column off the two residual levels it touches: at
-    most 4(N-1) evaluations beyond the base residual.  The colouring uses no
-    part of the analytic template, so the result stays an independent check
-    of it.  The step for unknown j is _FD_STEP * (1 + |x_j|); only nonzero
+    The same Newton matrix J^ as ``assemble_jacobian_analytic``, at the
+    state x in the tree gauge: differences of s -> R F(C s) at s = C^-1 x,
+    evaluated by ``_potential_residual`` from s itself, so that each column
+    touches only the rows of its graph stencil.  Residual level l involves
+    only the unknowns of levels l and l+1, so one evaluation perturbs one
+    node of one field at every other time level and reads each perturbed
+    column off the two residual levels it touches: at most 4(N-1)
+    evaluations beyond the base residual.  The colouring uses no part of
+    the analytic template, so the result stays an independent check of it.
+    The step for unknown j is _FD_STEP * (1 + |s_j|); only nonzero
     differences are stored.
     """
     m = problem.steps
     n1 = problem.graph.node_count - 1
-    x = np.asarray(x, dtype=float)
-    base = assemble_residual(problem, x).reshape(m, 2, n1)
-    steps = _FD_STEP * (1.0 + np.abs(x))
+    s = _to_potentials(problem, x)
+    base = _potential_residual(problem, s).reshape(m, 2, n1)
+    steps = _FD_STEP * (1.0 + np.abs(s))
 
-    # the column of each unknown by time level 1..M+1, field (velocity,
-    # density) and node: v^1 first, and -1 marks the fixed endpoint densities
+    # the column of each unknown by time level 1..M+1, field (potential,
+    # density) and node: S^1 first, and -1 marks the fixed endpoint densities
     unknowns = np.arange(-n1, (2 * m + 1) * n1).reshape(m + 1, 2, n1)
     unknowns[0] = [np.arange(n1), np.full(n1, -1)]
     unknowns[m, 1] = -1
@@ -384,9 +470,9 @@ def assemble_jacobian_fd(problem: TransportProblem, x: np.ndarray) -> sp.csr_mat
                 perturbed = perturbed[perturbed >= 0]
                 if not perturbed.size:
                     continue
-                xp = x.copy()
-                xp[perturbed] += steps[perturbed]
-                diff = assemble_residual(problem, xp).reshape(m, 2, n1) - base
+                shifted = s.copy()
+                shifted[perturbed] += steps[perturbed]
+                diff = _potential_residual(problem, shifted).reshape(m, 2, n1) - base
                 col = touched[:, i]
                 vals = diff / steps[col][:, None, None]
                 nz = np.nonzero(vals)
@@ -484,46 +570,47 @@ def _sweep_schur(
 class _CondensedFactor:
     """Block elimination of the Newton matrix in time.
 
-    The unknowns and the residual are laid out level by level, v^1 first
-    and the terminal density rows F_rho^M last (see ``graph_ot.system``).
-    Split N-1 columns from the start and N-1 rows from the end, the
-    Jacobian as it stands is [[A11, A12], [A21, A22]], and the four blocks
-    are slices of it.  A12 is square and lower triangular with the identity
-    on its diagonal: each residual level touches only its own level and the
-    next, whose coefficient is the identity.  Once the first-level tree
-    velocities v^1 are fixed, the system is a forward sweep in time.  A12 is
-    factored as it stands, without fill, and the (N-1) x (N-1) Schur
-    complement K = A21 - A22 A12^-1 A11 densely.
+    The unknowns and the residual are laid out level by level, the first
+    level's N-1 unknowns first and the terminal density rows F_rho^M last
+    (see ``graph_ot.system``).  Split N-1 columns from the start and N-1
+    rows from the end, the matrix as it stands is [[A11, A12], [A21, A22]],
+    and the four blocks are slices of it.  A12 is square and lower
+    triangular with the identity on its diagonal: each residual level
+    touches only its own level and the next, whose coefficient is the
+    identity.  Once the first level is fixed, the system is a forward sweep
+    in time.  A12 is factored as it stands, without fill, and the
+    (N-1) x (N-1) Schur complement K = A21 - A22 A12^-1 A11 densely.
 
     K is formed one of two ways, chosen by the per-level work
     W = nnz(strict lower A12) (N-1) / M.  From W >= _SWEEP_MIN_WORK,
     ``_sweep_schur`` sweeps the time levels, one sparse x dense product
     each, holding one level's 2(N-1) rows of it.  Below it, A12^-1 A11
     comes from SuperLU solves with the factor of A12 on chunks of A11's
-    columns: there the sweep's fixed cost of about 25 us a level (building
-    the level's CSR block and calling the product) outweighs its savings.
-    K formation per factorization at the first Newton iterate of each
-    benchmark operation (medians, one BLAS thread, shared 2-core VM, numpy
-    2.4, scipy 1.17; on a busy VM both columns ran up to twice as slow):
+    columns: there the sweep's fixed cost per level (building the level's
+    CSR block and calling the product) outweighs its savings.  K formation
+    per factorization of J^ at the first Newton iterate of each benchmark
+    operation (medians, one BLAS thread, shared 2-core VM, numpy 2.4,
+    scipy 1.17; the VM ran the sweep's per-level overhead at about 100 us
+    that day, against 25 us in an earlier measurement, on both J and J^):
 
         problem                  W      SuperLU   sweep
-        tree-compare             160    0.07 ms   1.7 ms
-        check-cfl                540    0.18 ms   3.3 ms
-        dumbbell                 620    0.17 ms   3.2 ms
-        consensus                1.6k   0.60 ms   7.0 ms
-        benchmark-1d             48k    2.8 ms    2.1 ms
-        recover-topology         72k    8.5 ms    17.3 ms
-        map-benchmark n=256      0.82M  263 ms    27 ms
-        benchmark-2d 16x16       3.5M   77 ms     23 ms
+        tree-compare             160    0.13 ms   7.1 ms
+        check-cfl                590    0.40 ms   15 ms
+        dumbbell                 710    0.36 ms   14 ms
+        consensus                1.5k   1.3 ms    27 ms
+        benchmark-1d             48k    5.3 ms    5.6 ms
+        recover-topology         72k    16 ms     29 ms
+        map-benchmark n=256      0.82M  317 ms    47 ms
+        benchmark-2d 16x16       1.3M   83 ms     17 ms
 
-    The crossover lies between W = 5e4 and 7e4, where W alone does not
-    order the two ways (benchmark-1d against recover-topology, whose 128
-    levels cost the sweep more overhead); 1e5 keeps both on SuperLU.
+    The sweep loses up to W = 7.2e4 and wins from 8.2e5; 1e5 lies between
+    and keeps both sides as they were for the tree-gauge J, whose W differ
+    only where the gauge stretched (benchmark-2d: 3.5M).
 
-    An exactly zero column of K makes J exactly singular and raises
-    SingularJacobianError with rcond 0.  Any other zero pivot of K, or a
-    non-finite K, leaves the factor ``singular``: every solve then returns
-    NaN, so the step is reported as non-finite instead of raised.
+    An exactly zero column of K makes the matrix exactly singular and
+    raises SingularJacobianError with rcond 0.  Any other zero pivot of K,
+    or a non-finite K, leaves the factor ``singular``: every solve then
+    returns NaN, so the step is reported as non-finite instead of raised.
     """
 
     def __init__(self, problem: TransportProblem, matrix: sp.spmatrix):
@@ -685,7 +772,8 @@ def newton_solve(
             if rcond is None:
                 rcond = _rcond_estimate(matrix, lu)
 
-        step = lu.solve(-residual)
+        # J's step, solved in potentials: C J^-1 (-R F)
+        step = _from_potentials(problem, lu.solve(_to_nodal_rows(problem, -residual)))
         if config.damping:
             alpha = 1.0
             for _ in range(31):

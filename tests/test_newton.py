@@ -10,6 +10,7 @@ from graph_ot import (
     ARITHMETIC_MEAN,
     DimensionMismatchError,
     SolveConfig,
+    SpanningTree,
     TransportProblem,
     UPWIND,
     assemble_jacobian_analytic,
@@ -21,8 +22,10 @@ from graph_ot import (
     complete_graph,
     default_initial_guess,
     dumbbell,
+    five_node_example,
     gaussian_density_1d,
     gaussian_density_2d,
+    kruskal,
     lattice_1d_periodic,
     lattice_2d_periodic,
     level_fields,
@@ -37,6 +40,8 @@ from graph_ot import (
 )
 from graph_ot.errors import SingularJacobianError
 from graph_ot.newton import _CondensedFactor
+from graph_ot.scenarios import _FIVE_NODE_TREES
+from graph_ot.system import _potential_residual
 
 
 def two_node_problem(model=ARITHMETIC_MEAN, steps=16):
@@ -325,6 +330,98 @@ def loop_jacobian(problem, x):
     return matrix
 
 
+def stencil_jacobian(problem, x):
+    """Level-by-level assembly of J^ = R J C with scipy products: the
+    reference for the template assembly, which must store the same pattern.
+
+    In potentials, node N's pinned, every edge velocity is sqrt(w) times
+    the difference of its ends' potentials, so the velocity derivatives go
+    through the edge gradient, and node N's kinetic row is subtracted from
+    every nodal row."""
+    g, model = problem.graph, problem.model
+    m, tau, sw = problem.steps, problem.tau, g.sqrt_weights
+    n1 = g.node_count - 1
+    rho, _, ve = level_fields(problem, x)
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(np.asarray(r, dtype=np.intp))
+        cols.append(np.asarray(c, dtype=np.intp))
+        vals.append(np.asarray(v, dtype=float))
+
+    idx = np.arange(n1)
+    ones = np.ones(n1)
+    rho_cols, s_cols, rho_rows, h_rows = positions(problem)
+    gradient = (sp.diags(sw) @ (g.head_matrix - g.tail_matrix).T).tocsr()[:, :n1]
+    pinned = sp.hstack([sp.identity(n1), -np.ones((n1, 1))]).tocsr()  # G_i - G_N
+    for lv in range(1, m + 1):
+        r, v = rho[lv - 1], ve[lv - 1]
+        rt, rh = r[g.tail], r[g.head]
+        th = model.theta_values(rt, rh, v)
+        p_tail, p_head = model.theta_density_partials(rt, rh, v)
+        p_head_own = model.theta_density_partials(rh, rt, -v)[0]
+        row_d, row_h = rho_rows[lv - 1], h_rows[lv - 1]
+        if lv + 1 <= m:
+            add(row_d, rho_cols[lv], ones)
+        if lv >= 2:
+            c0 = rho_cols[lv - 1]
+            add(row_d, c0, -ones)
+            ct, ch = sw * v * p_tail, sw * v * p_head
+            er = np.concatenate([g.tail, g.tail, g.head, g.head])
+            ec = np.concatenate([g.tail, g.head, g.tail, g.head])
+            ev = np.concatenate([ct, ch, -ct, -ch])
+            keep = er < n1
+            er, ec, ev = er[keep], ec[keep], ev[keep]
+            direct = ec < n1
+            add(row_d[er[direct]], c0[ec[direct]], tau * ev[direct])
+            last = ~direct
+            add(
+                row_d[np.repeat(er[last], n1)],
+                c0[np.tile(idx, int(last.sum()))],
+                -tau * np.repeat(ev[last], n1),
+            )
+        flux_s = (g.incidence @ sp.diags(sw * th) @ gradient)[:n1].tocoo()
+        add(row_d[flux_s.row], s_cols[lv - 1][flux_s.col], tau * flux_s.data)
+        add(row_h, s_cols[lv], ones)
+        add(row_h, s_cols[lv - 1], -ones)
+        dg = g.tail_matrix @ sp.diags(2.0 * v * p_tail) + g.head_matrix @ sp.diags(
+            2.0 * v * p_head_own
+        )
+        blk = (0.5 * tau * pinned @ dg @ gradient).tocoo()
+        add(row_h[blk.row], s_cols[lv - 1][blk.col], blk.data)
+    size = state_size(problem)
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    ).tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
+def tree_incidence(p):
+    """T, dense: v_f = sqrt(w_f) (S_head - S_tail) with S_N = 0."""
+    n1 = p.graph.node_count - 1
+    t = np.zeros((n1, n1 + 1))
+    f = np.arange(n1)
+    t[f, p.tree.head] = p.tree.sqrt_weights
+    t[f, p.tree.tail] = -p.tree.sqrt_weights
+    return t[:, :n1]
+
+
+def in_potentials(p, jacobian):
+    """R J C, dense, for a tree-gauge Jacobian J: T on every velocity block
+    of the columns and T^-1 on every velocity block of the rows."""
+    size = state_size(p)
+    t = tree_incidence(p)
+    c, r = np.eye(size), np.eye(size)
+    _, v_cols, _, v_rows = positions(p)
+    for cols in v_cols:
+        c[np.ix_(cols, cols)] = t
+    for rows in v_rows:
+        r[np.ix_(rows, rows)] = np.linalg.inv(t)
+    return r @ jacobian @ c
+
+
 def solver_iterates(problem, **config):
     """Every iterate at which newton_solve assembles a Jacobian."""
     seen = []
@@ -374,7 +471,7 @@ def test_analytic_jacobian_stores_the_loop_pattern(make, model):
     iterates = solver_iterates(p, max_iterations=6)
     assert len(iterates) >= 3
     for x in iterates:
-        ref = loop_jacobian(p, x)
+        ref = stencil_jacobian(p, x)
         ja = assemble_jacobian_analytic(p, x)
         np.testing.assert_array_equal(ja.indptr, ref.indptr)
         np.testing.assert_array_equal(ja.indices, ref.indices)
@@ -410,31 +507,29 @@ def edge_case_iterates(p, ties, count=4):
             yield default_initial_guess(p) + rng.normal(0.0, 0.05, state_size(p))
 
 
-edge_cases = pytest.mark.parametrize(
-    "make, ties",
-    [
-        (lambda: dumbbell_problem(steps=1), False),
-        (lambda: dumbbell_problem(steps=2), False),
-        (lambda: dumbbell_problem(model=UPWIND, steps=1), False),
-        (lambda: dumbbell_problem(model=UPWIND, steps=4), False),
-        (lambda: dumbbell_problem(model=UPWIND, steps=4), True),
-        (k8_problem, False),
-        (lambda: k8_problem(model=UPWIND), False),
-        (ring_problem, False),
-        (lambda: ring_problem(model=UPWIND), False),
-    ],
-    ids=[
-        "M=1",
-        "M=2",
-        "upwind M=1",
-        "upwind mixed signs",
-        "upwind ties",
-        "K8",
-        "K8 upwind",
-        "periodic lattice",
-        "periodic lattice upwind",
-    ],
-)
+EDGE_CASES = [
+    (lambda: dumbbell_problem(steps=1), False),
+    (lambda: dumbbell_problem(steps=2), False),
+    (lambda: dumbbell_problem(model=UPWIND, steps=1), False),
+    (lambda: dumbbell_problem(model=UPWIND, steps=4), False),
+    (lambda: dumbbell_problem(model=UPWIND, steps=4), True),
+    (k8_problem, False),
+    (lambda: k8_problem(model=UPWIND), False),
+    (ring_problem, False),
+    (lambda: ring_problem(model=UPWIND), False),
+]
+EDGE_IDS = [
+    "M=1",
+    "M=2",
+    "upwind M=1",
+    "upwind mixed signs",
+    "upwind ties",
+    "K8",
+    "K8 upwind",
+    "periodic lattice",
+    "periodic lattice upwind",
+]
+edge_cases = pytest.mark.parametrize("make, ties", EDGE_CASES, ids=EDGE_IDS)
 
 
 @edge_cases
@@ -442,7 +537,14 @@ def test_analytic_jacobian_matches_fd_edge_cases(make, ties):
     p = make()
     for x in edge_case_iterates(p, ties):
         ja = assemble_jacobian_analytic(p, x).toarray()
-        jf = assemble_jacobian_fd(p, x).toarray()
+        if ties:
+            # J^ takes the v >= 0 branch at a tie.  A potential's forward
+            # step lowers the velocity of every edge it is the tail of, so
+            # the differences in potentials leave that branch; those of a
+            # tree velocity raise only its own edge, so compare R J C
+            jf = in_potentials(p, tree_column_fd(p, x))
+        else:
+            jf = assemble_jacobian_fd(p, x).toarray()
         scale = max(float(np.abs(ja).max()), 1.0)
         assert np.abs(ja - jf).max() <= 1e-5 * scale
 
@@ -467,8 +569,9 @@ def test_level_layout_splits_j_without_reordering(make, ties):
     np.testing.assert_array_equal(pack(p, traj), x)
 
 
-def column_fd(problem, x):
-    """Plain forward differences of the residual, one column at a time."""
+def tree_column_fd(problem, x):
+    """Plain forward differences of the tree-gauge residual, one column at
+    a time."""
     base = assemble_residual(problem, x)
     jacobian = np.zeros((base.size, x.size))
     for j in range(x.size):
@@ -479,19 +582,33 @@ def column_fd(problem, x):
     return jacobian
 
 
+def column_fd(problem, x):
+    """Plain forward differences of the residual in potentials at
+    s = C^-1 x, one column at a time."""
+    s = graph_ot.newton._to_potentials(problem, x)
+    base = _potential_residual(problem, s)
+    jacobian = np.zeros((base.size, s.size))
+    for j in range(s.size):
+        h = graph_ot.newton._FD_STEP * (1.0 + abs(s[j]))
+        shifted = s.copy()
+        shifted[j] += h
+        jacobian[:, j] = (_potential_residual(problem, shifted) - base) / h
+    return jacobian
+
+
 @edge_cases
 def test_time_coloured_fd_equals_column_fd(make, ties, monkeypatch):
     p = make()
     calls = []
-    residual = graph_ot.newton.assemble_residual
+    residual = graph_ot.newton._potential_residual
 
-    def counting(problem, x):
-        calls.append(x)
-        return residual(problem, x)
+    def counting(problem, s):
+        calls.append(s)
+        return residual(problem, s)
 
     for x in edge_case_iterates(p, ties, count=2):
         with monkeypatch.context() as patch:
-            patch.setattr(graph_ot.newton, "assemble_residual", counting)
+            patch.setattr(graph_ot.newton, "_potential_residual", counting)
             jf = assemble_jacobian_fd(p, x)
         np.testing.assert_array_equal(jf.toarray(), column_fd(p, x))
         assert not np.any(jf.data == 0.0)
@@ -573,6 +690,95 @@ def test_schur_complement_same_by_sweep_and_superlu(make, monkeypatch):
         by_sweep = schur_complement(p, x, monkeypatch, 0.0)
         gap = np.abs(by_sweep - by_superlu).max() / np.abs(by_superlu).max()
         assert gap <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make, ties",
+    EDGE_CASES + [(gaussian_grid_problem, False)],
+    ids=EDGE_IDS + ["6x6 periodic grid"],
+)
+def test_step_in_potentials_equals_tree_gauge_step(make, ties):
+    # C J^-1 R F, as newton_solve takes it, against a sparse LU of the
+    # tree-gauge reference J
+    p = make()
+    for x in edge_case_iterates(p, ties, count=3):
+        residual = assemble_residual(p, x)
+        want = spla.splu(loop_jacobian(p, x).tocsc()).solve(residual)
+        factor = _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+        rows = graph_ot.newton._to_nodal_rows(p, residual)
+        got = graph_ot.newton._from_potentials(p, factor.solve(rows))
+        gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert gap <= 1e-10
+
+
+def path_tree(graph, nodes):
+    return SpanningTree(graph, list(zip(nodes[:-1], nodes[1:])))
+
+
+@pytest.mark.parametrize("model", [ARITHMETIC_MEAN, UPWIND], ids=["mean", "upwind"])
+@pytest.mark.parametrize(
+    "graph, trees",
+    [
+        (five_node_example(), [lambda g, e=e: SpanningTree(g, e) for e in _FIVE_NODE_TREES]),
+        (complete_graph(8), [kruskal, lambda g: path_tree(g, range(1, 9))]),
+    ],
+    ids=["five-node example", "K8"],
+)
+def test_newton_matrix_is_gauge_independent(graph, trees, model):
+    # unit weights and potentials on a grid of 1/16 make every tree's
+    # velocities and their expansion exact, so each tree sees the same state
+    n, m = graph.node_count, 4
+    mu, nu = seeded_random_density(n, 6), seeded_random_density(n, 7)
+    rng = np.random.Generator(np.random.PCG64(3))
+    # distinct and nonzero on every level: no edge velocity is zero
+    potentials = np.zeros((m + 1, n))
+    potentials[:, :-1] = [(rng.permutation(n - 1) + 1) / 16.0 for _ in range(m + 1)]
+    analytic, fd = [], []
+    for make_tree in trees:
+        tree = make_tree(graph)
+        p = TransportProblem(graph, mu, nu, m, model=model, tree=tree)
+        interior = level_fields(p, default_initial_guess(p))[0][1:m, :-1]
+        vel = potentials[:, tree.head] - potentials[:, tree.tail]
+        x = pack_fields(p, interior, vel)
+        np.testing.assert_array_equal(
+            unpack(p, x).edge_velocities, potentials[:, graph.head] - potentials[:, graph.tail]
+        )
+        analytic.append(assemble_jacobian_analytic(p, x))
+        fd.append(assemble_jacobian_fd(p, x).toarray())
+    first = analytic[0]
+    scale = max(float(np.abs(first.data).max()), 1.0)
+    for ja, jf in zip(analytic[1:], fd[1:]):
+        np.testing.assert_array_equal(ja.indptr, first.indptr)
+        np.testing.assert_array_equal(ja.indices, first.indices)
+        np.testing.assert_array_equal(ja.data, first.data)
+        assert np.abs(jf - fd[0]).max() <= 1e-5 * scale
+
+
+def snake_tree(graph, side):
+    """The row-by-row boustrophedon path through a periodic grid: the tree
+    whose paths are longest."""
+    nodes = []
+    for row in range(side):
+        cols = range(side) if row % 2 == 0 else reversed(range(side))
+        nodes += [row * side + col + 1 for col in cols]
+    return path_tree(graph, nodes)
+
+
+@pytest.mark.parametrize("side", [8, 16])
+def test_newton_matrix_follows_the_graph_stencil(side):
+    # entries per level stay under a bound that no tree enters: J^ holds
+    # no tree path; the tree-gauge J held 35 N (8x8) and 59 N (16x16) per
+    # level at these states with the default tree, twice that with the snake
+    g = lattice_2d_periodic(side, side, 4.0, -1.0)
+    mu = gaussian_density_2d(g, 2, 2, 0.5, 1.5, 1, 1e-2)
+    nu = gaussian_density_2d(g, 2, 2, 1.5, 1.3, 1, 1e-2)
+    rng = np.random.Generator(np.random.PCG64(5))
+    for tree in (None, snake_tree(g, side)):
+        p = TransportProblem(g, mu, nu, 4, tree=tree)
+        interior = level_fields(p, default_initial_guess(p))[0][1:4, :-1]
+        x = pack_fields(p, interior, rng.normal(size=(5, g.node_count - 1)))
+        jacobian = assemble_jacobian_analytic(p, x)
+        assert jacobian.nnz / p.steps < 30 * g.node_count
 
 
 def sweeps(p, monkeypatch):
@@ -688,8 +894,11 @@ def test_splu_factors_only_the_triangular_block(monkeypatch):
         p = dumbbell_problem()
         report = newton_solve(p, config=config)
         assert report.converged
-        top = state_size(p) - (p.graph.node_count - 1)
-        assert shapes and set(shapes) == {(top, top)}
+        n1 = p.graph.node_count - 1
+        top = state_size(p) - n1
+        # besides A12, the tree incidence T, once per problem
+        assert shapes.count((n1, n1)) == 1
+        assert set(shapes) == {(top, top), (n1, n1)}
         shapes.clear()
 
 
