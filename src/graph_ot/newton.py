@@ -20,11 +20,13 @@ step is solved in node potentials S, node N's pinned to zero.  Tree edge f
 carries v_f = sqrt(w_f) (S_head - S_tail), so per level C = diag(T, I) maps
 (S, rho) to (v, rho), with T the tree incidence scaled by sqrt(w), and
 R = diag(T^-1, I) maps the velocity rows F_v to the nodal rows
-S^{l+1} - S^l + (tau/2)(G - G_N).  The matrix factored is J^ = R J C, the
-Jacobian of s -> R F(C s): every edge velocity is a difference of two
-potentials, so J^ follows the graph stencil whatever the tree, where J
-carries each edge's whole tree path.  The step is C J^-1 (-R F), J's step
-in exact arithmetic, since Newton's method is affine invariant.
+S^{l+1} - S^l + (tau/2)(G - G_N).  C and R are taken from ``problem.tree``,
+which holds T factored (see ``graph_ot.tree``).  The matrix factored is
+J^ = R J C, the Jacobian of s -> R F(C s): every edge velocity is a
+difference of two potentials, so J^ follows the graph stencil whatever the
+tree, where J carries each edge's whole tree path.  The step is
+C J^-1 (-R F), J's step in exact arithmetic, since Newton's method is
+affine invariant.
 
 J^ has the same entries at every level, shifted by 2(N-1) rows and columns,
 and they depend only on the graph and M.  The first analytic assembly of a
@@ -33,12 +35,11 @@ TransportProblem, with a sparse operator from five per-edge terms to the
 entry values.  Each assembly evaluates those terms for all M levels as
 (M, E) arrays and lays the levels out in CSR order in one vectorized pass.
 
-Three Jacobian modes are offered: exact analytic assembly; forward
+Two Jacobian modes are offered: exact analytic assembly, and forward
 differences of s -> R F(C s), evaluated from the potentials themselves,
 with the columns coloured by time level, at most 4(N-1) residual
-evaluations per Jacobian and nothing taken from the template; and a chord
-mode that factors the analytic J^ once at the initial iterate and reuses
-it.  All three solve through the same block elimination.
+evaluations per Jacobian and nothing taken from the template.  Both solve
+through the same block elimination.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import metrics
@@ -80,7 +80,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-JACOBIAN_MODES = ("analytic", "fd", "chord")
+JACOBIAN_MODES = ("analytic", "fd")
 
 # base factor of the forward-difference step: unknown j moves by
 # _FD_STEP * (1 + |x_j|)
@@ -161,78 +161,29 @@ def default_initial_guess(problem: TransportProblem) -> np.ndarray:
 # -- node potentials ---------------------------------------------------------
 
 
-class _PotentialGauge:
-    """Tree velocities v = T S of node potentials S, node N's pinned to 0.
-
-    Row f of the (N-1) x (N-1) matrix T holds sqrt(w_f) at the head of tree
-    edge f and -sqrt(w_f) at its tail, node N's column dropped.  With the
-    nodes taken from node N outwards, each after its parent and with the
-    tree edge to its parent, T is lower triangular, so SuperLU factors it
-    in that order without fill.
-    """
-
-    def __init__(self, problem: TransportProblem):
-        tree = problem.tree
-        n1 = problem.graph.node_count - 1
-        f = np.arange(n1)
-        ends = np.concatenate([tree.head, tree.tail])
-        inner = ends < n1
-        self.matrix = sp.csr_matrix(
-            (
-                np.concatenate([tree.sqrt_weights, -tree.sqrt_weights])[inner],
-                (np.concatenate([f, f])[inner], ends[inner]),
-            ),
-            shape=(n1, n1),
-        )
-        links = sp.csr_matrix(
-            (np.ones(n1), (tree.tail, tree.head)), shape=(n1 + 1, n1 + 1)
-        )
-        order, parent = csgraph.breadth_first_order(links, n1, directed=False)
-        child = np.where(parent[tree.head] == tree.tail, tree.head, tree.tail)
-        edge_to_parent = np.empty(n1 + 1, dtype=np.intp)
-        edge_to_parent[child] = f
-        self._nodes = order[1:]
-        self._edges = edge_to_parent[self._nodes]
-        self._lu = spla.splu(
-            self.matrix[self._edges][:, self._nodes].tocsc(),
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-
-    def potentials(self, velocities: np.ndarray) -> np.ndarray:
-        """T^-1 v for every row of a (levels, N-1) array, in one solve."""
-        s = np.empty_like(velocities)
-        s[:, self._nodes] = self._lu.solve(velocities[:, self._edges].T).T
-        return s
-
-
-def _gauge(problem: TransportProblem) -> _PotentialGauge:
-    """The problem's factored tree incidence, built on first use."""
-    if problem._potential_gauge is None:
-        problem._potential_gauge = _PotentialGauge(problem)
-    return problem._potential_gauge
-
-
 def _from_potentials(problem: TransportProblem, s: np.ndarray) -> np.ndarray:
     """C s: the potential blocks of s mapped to tree velocities."""
     interior, potentials = _split(problem, s)
-    velocities = (_gauge(problem).matrix @ potentials.T).T
+    tree = problem.tree
+    full = np.hstack([potentials, np.zeros((len(potentials), 1))])
+    velocities = tree.sqrt_weights * (full[:, tree.head] - full[:, tree.tail])
     return pack_fields(problem, interior, velocities)
 
 
 def _to_potentials(problem: TransportProblem, x: np.ndarray) -> np.ndarray:
     """C^-1 x: the tree velocities of the unknowns replaced by potentials."""
     interior, velocities = _split(problem, x)
-    return pack_fields(problem, interior, _gauge(problem).potentials(velocities))
+    n = problem.graph.node_count
+    potentials = problem.tree.recover_potential(velocities, base=n)[:, :-1]
+    return pack_fields(problem, interior, potentials)
 
 
 def _to_nodal_rows(problem: TransportProblem, residual: np.ndarray) -> np.ndarray:
     """R F: every velocity block F_v of the residual mapped by T^-1."""
     m = problem.steps
-    n1 = problem.graph.node_count - 1
-    rows = np.array(residual, dtype=float).reshape(m, 2, n1)
-    rows[:, 0] = _gauge(problem).potentials(rows[:, 0])
+    n = problem.graph.node_count
+    rows = np.array(residual, dtype=float).reshape(m, 2, n - 1)
+    rows[:, 0] = problem.tree.recover_potential(rows[:, 0], base=n)[:, :-1]
     return rows.ravel()
 
 
@@ -743,7 +694,6 @@ def newton_solve(
     history = [float(np.linalg.norm(residual))]
     iterations = 0
     rcond: float | None = None
-    lu = None
 
     while True:
         if not np.isfinite(history[-1]):
@@ -756,21 +706,19 @@ def newton_solve(
             status = "max_iterations_exceeded"
             break
 
-        # chord mode keeps the first factorization
-        if lu is None or config.jacobian != "chord":
-            if config.jacobian == "fd":
-                matrix = assemble_jacobian_fd(problem, x)
-            else:
-                matrix = assemble_jacobian_analytic(problem, x)
-            try:
-                lu = _CondensedFactor(problem, matrix)
-            except SingularJacobianError:
-                status = "singular_jacobian"
-                if rcond is None:
-                    rcond = 0.0
-                break
+        if config.jacobian == "fd":
+            matrix = assemble_jacobian_fd(problem, x)
+        else:
+            matrix = assemble_jacobian_analytic(problem, x)
+        try:
+            lu = _CondensedFactor(problem, matrix)
+        except SingularJacobianError:
+            status = "singular_jacobian"
             if rcond is None:
-                rcond = _rcond_estimate(matrix, lu)
+                rcond = 0.0
+            break
+        if rcond is None:
+            rcond = _rcond_estimate(matrix, lu)
 
         # J's step, solved in potentials: C J^-1 (-R F)
         step = _from_potentials(problem, lu.solve(_to_nodal_rows(problem, -residual)))

@@ -419,7 +419,7 @@ def trajectory_from_artifact(document: dict) -> Trajectory:
 
 
 def write_artifact(document: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(document, indent=1) + "\n")
+    Path(path).write_text(json.dumps(document) + "\n")
 
 
 def read_artifact(path: str | Path) -> dict:

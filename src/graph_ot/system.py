@@ -79,13 +79,9 @@ class TransportProblem:
     steps: int
     model: Mobility = ARITHMETIC_MEAN
     tree: SpanningTree | None = None
-    # the Newton matrix's per-level template and the factored tree
-    # incidence, built by graph_ot.newton on first use; they depend only on
-    # graph, tree and steps
+    # the Newton matrix's per-level template, built by graph_ot.newton on
+    # first use; it depends only on graph, tree and steps
     _jacobian_template: object = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _potential_gauge: object = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -414,8 +410,8 @@ def _potential_residual(problem: TransportProblem, s: np.ndarray) -> np.ndarray:
     density rows are those of ``assemble_residual``.  In exact arithmetic
     this is R F(C s) of ``graph_ot.newton``.  Evaluated from s, a change of
     one potential leaves every row outside its graph stencil exactly as it
-    was, where the tree expansion of C s would spread rounding over whole
-    subtrees.
+    was, where the potentials recovered from the tree velocities C s would
+    spread rounding over whole subtrees.
     """
     g = problem.graph
     m = problem.steps

@@ -1,24 +1,23 @@
 """Spanning trees and the gauge that reduces edge velocities to tree velocities.
 
-Edge velocities of the form v_e = sqrt(w_e) * (S_head - S_tail) for a nodal
-potential S are determined by their values on any spanning tree: telescoping
-the potential differences along the unique tree path from tail(e) to head(e)
-gives
-
-    v_e / sqrt(w_e) = sum_f a_f(e) * v_f / sqrt(w_f),   a_f(e) in {-1, 0, +1},
-
-where f runs over tree edges and the sign records whether the path traverses
-f along or against its canonical low-to-high orientation.  The coefficient
-table is computed once per (graph, tree) pair and reused by the solver.
+Edge velocities that are the gradient of a nodal potential S,
+v_e = sqrt(w_e) (S_head - S_tail), are fixed by their values on any
+spanning tree.  With node N's potential pinned to zero, the tree velocities
+are v = T S, T the (N-1) x (N-1) tree incidence scaled by sqrt(w).  Each
+tree factors T once: recovering a potential is one solve with that factor,
+and expanding tree velocities to all edges is that solve and one
+difference per edge.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
 
 from .errors import (
     DimensionMismatchError,
@@ -53,11 +52,19 @@ class _UnionFind:
 
 
 class SpanningTree:
-    """Oriented spanning tree of a weighted graph with gauge coefficients.
+    """Oriented spanning tree of a weighted graph and its factored gauge.
 
     Tree edges keep the canonical (low, high) orientation of the parent
-    graph.  ``expand_velocities`` maps per-tree-edge velocities to all edges;
-    ``recover_potential`` integrates tree velocities into a nodal potential.
+    graph.  ``recover_potential`` integrates tree velocities into a nodal
+    potential, and ``expand_velocities`` maps tree velocities to their
+    potential's velocities on all edges.
+
+    The unscaled incidence, +1 at each tree edge's head and -1 at its tail,
+    is ordered breadth first from node N, each node with the tree edge to
+    its parent; in that order it is lower triangular, and SuperLU factors it
+    in natural order without fill.  A solve divides the velocities by
+    sqrt(w) first, so each potential is its parent's plus v_f / sqrt(w_f),
+    as a walk from node N adds them.
 
     Parameters
     ----------
@@ -88,153 +95,100 @@ class SpanningTree:
 
         self.graph = graph
         self.tree_edges: list[tuple[int, int]] = sorted(canonical)
-        self._tree_index = {e: f for f, e in enumerate(self.tree_edges)}
 
         # 0-based endpoints and weights in tree-edge order
         self.tail = np.array([i - 1 for i, _ in self.tree_edges], dtype=np.intp)
         self.head = np.array([j - 1 for _, j in self.tree_edges], dtype=np.intp)
         pos = [graph.edge_position(i, j) for i, j in self.tree_edges]
-        self.sqrt_weights = graph.sqrt_weights[np.array(pos, dtype=np.intp)]
+        self._graph_positions = np.array(pos, dtype=np.intp)
+        self.sqrt_weights = graph.sqrt_weights[self._graph_positions]
 
-        self._build_parent_structure()
-        self._build_coefficients()
-
-    # -- construction helpers ---------------------------------------------
-
-    def _build_parent_structure(self) -> None:
-        """Root the tree at node 1 and record parent and depth per node."""
-        n = self.graph.node_count
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for f, (i, j) in enumerate(self.tree_edges):
-            adjacency[i - 1].append((j, f))
-            adjacency[j - 1].append((i, f))
-        parent = np.zeros(n, dtype=np.intp)  # 1-based, 0 marks the root
-        parent_edge = np.full(n, -1, dtype=np.intp)
-        depth = np.full(n, -1, dtype=np.intp)
-        depth[0] = 0
-        stack = [1]
-        while stack:
-            u = stack.pop()
-            for w, f in adjacency[u - 1]:
-                if depth[w - 1] < 0:
-                    depth[w - 1] = depth[u - 1] + 1
-                    parent[w - 1] = u
-                    parent_edge[w - 1] = f
-                    stack.append(w)
-        self._parent = parent
-        self._parent_edge = parent_edge
-        self._depth = depth
-
-    def _climb(self, node: int, target_depth: int) -> tuple[int, list[tuple[int, int]]]:
-        """Walk from ``node`` toward the root until ``target_depth``.
-
-        Returns the stop node and the traversed steps as (tree edge index,
-        sign), the sign being +1 when the step follows the edge's canonical
-        orientation.
-        """
-        steps = []
-        while self._depth[node - 1] > target_depth:
-            p = int(self._parent[node - 1])
-            f = int(self._parent_edge[node - 1])
-            steps.append((f, 1 if node < p else -1))
-            node = p
-        return node, steps
-
-    def _path_coefficients(self, a: int, b: int) -> list[tuple[int, int]]:
-        """Signed tree edges of the unique path a -> b."""
-        da, db = self._depth[a - 1], self._depth[b - 1]
-        meet = min(da, db)
-        ua, steps_a = self._climb(a, meet)
-        ub, steps_b = self._climb(b, meet)
-        while ua != ub:
-            pa = int(self._parent[ua - 1])
-            fa = int(self._parent_edge[ua - 1])
-            steps_a.append((fa, 1 if ua < pa else -1))
-            pb = int(self._parent[ub - 1])
-            fb = int(self._parent_edge[ub - 1])
-            steps_b.append((fb, 1 if ub < pb else -1))
-            ua, ub = pa, pb
-        # a -> lca uses the climbing direction, lca -> b reverses it
-        return steps_a + [(f, -s) for f, s in steps_b]
-
-    def _build_coefficients(self) -> None:
-        g = self.graph
-        rows, cols, signs = [], [], []
-        for e, (i, j) in enumerate(g.edges):
-            for f, s in self._path_coefficients(i, j):
-                rows.append(e)
-                cols.append(f)
-                signs.append(s)
-        coeff = sp.csr_matrix(
-            (np.array(signs, dtype=float), (rows, cols)),
-            shape=(g.edge_count, g.node_count - 1),
+        n1 = n - 1
+        links = sp.csr_matrix((np.ones(n1), (self.tail, self.head)), shape=(n, n))
+        order = csgraph.breadth_first_order(
+            links, n1, directed=False, return_predecessors=False
         )
-        coeff.sum_duplicates()
-        self.coefficients = coeff
-        # expansion scaled by the weight ratio: v_e = sum_f sw_e/sw_f a_f v_f
-        scale_rows = sp.diags(g.sqrt_weights)
-        scale_cols = sp.diags(1.0 / self.sqrt_weights)
-        self.expansion = (scale_rows @ coeff @ scale_cols).tocsr()
+        # each node's place in breadth-first order from node N, whose column
+        # is dropped: its -1 picks the zero potential that _solve appends
+        self._position = np.empty(n, dtype=np.intp)
+        self._position[order] = np.arange(-1, n1)
+        ends = self._position[np.concatenate([self.head, self.tail])]
+        # a tree edge's row is the place of its end farther from node N
+        rows = np.maximum(ends[:n1], ends[n1:])
+        self._edges = np.argsort(rows)
+        inner = ends >= 0
+        incidence = sp.csc_matrix(
+            (
+                np.repeat([1.0, -1.0], n1)[inner],
+                (np.tile(rows, 2)[inner], ends[inner]),
+            ),
+            shape=(n1, n1),
+        )
+        self._lu = spla.splu(
+            incidence,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+
+    def _levels(self, tree_velocities: np.ndarray) -> np.ndarray:
+        """Tree velocities as a (levels, N-1) array; a vector is one level."""
+        v = np.asarray(tree_velocities, dtype=float)
+        n1 = self.graph.node_count - 1
+        if v.ndim not in (1, 2) or v.shape[-1] != n1:
+            raise DimensionMismatchError(
+                f"expected shape ({n1},) or (levels, {n1}), got {v.shape}"
+            )
+        return v.reshape(-1, n1)
+
+    def _solve(self, v: np.ndarray) -> np.ndarray:
+        """(levels, N) potentials of (levels, N-1) tree velocities: column k
+        for the node at place k of ``_position``, the last for node N's 0."""
+        s = self._lu.solve((v[:, self._edges] / self.sqrt_weights[self._edges]).T)
+        return np.hstack([s.T, np.zeros((len(v), 1))])
 
     # -- public operations --------------------------------------------------
-
-    def tree_path_coefficients(self, edge: tuple[int, int]) -> dict[tuple[int, int], int]:
-        """Nonzero gauge coefficients of a graph edge over tree edges.
-
-        Returns a mapping from tree edge to its sign a_f in {-1, +1}; tree
-        edges absent from the path are omitted.
-        """
-        i, j = edge
-        e = self.graph.edge_position(i, j)  # validates membership
-        row = self.coefficients.getrow(e).tocoo()
-        return {self.tree_edges[f]: int(s) for f, s in zip(row.col, row.data)}
 
     def expand_velocities(self, tree_velocities: np.ndarray) -> np.ndarray:
         """Map tree-edge velocities to all-edge velocities via the gauge.
 
+        Edge e gets sqrt(w_e) (S_head - S_tail) for the potential S of the
+        tree velocities; tree edges keep their own velocity exactly.
         Accepts a vector of length N-1 or an array of shape (levels, N-1);
         the result has matching leading shape with last axis E.
         """
-        v = np.asarray(tree_velocities, dtype=float)
-        if v.shape[-1] != self.graph.node_count - 1:
-            raise DimensionMismatchError(
-                f"expected last axis {self.graph.node_count - 1}, got {v.shape}"
-            )
-        if v.ndim == 1:
-            return self.expansion @ v
-        if v.ndim == 2:
-            return (self.expansion @ v.T).T
-        raise DimensionMismatchError(f"got {v.ndim}-d velocity array")
+        g = self.graph
+        v = self._levels(tree_velocities)
+        s = self._solve(v)
+        out = s[:, self._position[g.head]] - s[:, self._position[g.tail]]
+        out *= g.sqrt_weights
+        # a difference of two potentials loses the digits they share
+        out[:, self._graph_positions] = v
+        return out[0] if np.ndim(tree_velocities) == 1 else out
 
     def recover_potential(self, tree_velocities: np.ndarray, base: int = 1) -> np.ndarray:
         """Integrate tree velocities into a potential S with S[base] = 0.
 
         Along each tree edge f = (i, j), S_j - S_i = v_f / sqrt(w_f).  The
-        result is unique because the tree is connected and acyclic.
+        result is unique because the tree is connected and acyclic.  Accepts
+        a vector of length N-1 or an array of shape (levels, N-1); the
+        result has matching leading shape with last axis N.
         """
         g = self.graph
-        v = np.asarray(tree_velocities, dtype=float)
-        if v.shape != (g.node_count - 1,):
-            raise DimensionMismatchError(
-                f"expected shape ({g.node_count - 1},), got {v.shape}"
-            )
         if not (1 <= base <= g.node_count):
             raise NodeOutOfRangeError(f"base {base} outside 1..{g.node_count}")
-        jumps = v / self.sqrt_weights
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(g.node_count)]
-        for f, (i, j) in enumerate(self.tree_edges):
-            adjacency[i - 1].append((j, jumps[f]))
-            adjacency[j - 1].append((i, -jumps[f]))
-        potential = np.full(g.node_count, np.nan)
-        potential[base - 1] = 0.0
-        stack = [base]
-        while stack:
-            u = stack.pop()
-            for w, jump in adjacency[u - 1]:
-                if np.isnan(potential[w - 1]):
-                    potential[w - 1] = potential[u - 1] + jump
-                    stack.append(w)
-        return potential
+        potential = self._solve(self._levels(tree_velocities))[:, self._position]
+        potential -= potential[:, base - 1 : base]
+        return potential[0] if np.ndim(tree_velocities) == 1 else potential
+
+    @property
+    def expansion(self) -> sp.csr_matrix:
+        """The E x (N-1) matrix of ``expand_velocities``, formed on demand.
+
+        Column f expands the unit velocity on tree edge f; exact zeros are
+        dropped.  Formed densely, for diagnostics on small graphs.
+        """
+        return sp.csr_matrix(self.expand_velocities(np.eye(len(self.tree_edges))).T)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpanningTree(edges={self.tree_edges})"

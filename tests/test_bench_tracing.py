@@ -5,7 +5,8 @@
 ``graph_ot.metrics`` for its length.  A refactor that binds one of those
 names earlier, or stops calling it through the module, silently zeroes a
 per-layer metric; this test runs two scenarios under a full tracer and
-requires a span of each layer from each run.
+requires a span of each layer from each run, and per-layer metrics that
+count what each run did.
 """
 
 import sys
@@ -44,3 +45,8 @@ def test_traced_run_records_every_layer(tmp_path):
     for first, end in zip(starts, starts[1:] + [len(tracer.spans)]):
         seen = {span.name for span in tracer.spans[first:end]}
         assert LAYERS <= seen, sorted(LAYERS - seen)
+        metrics = spans.layer_metrics(tracer.spans[:end], first)
+        assert metrics["tree.expansion_nnz"] > 0
+        # one factorization per Newton matrix: the tree's factor of its
+        # incidence is tree.build's, not newton.lu_factor's
+        assert metrics["newton.lu_factor_calls"] == metrics["newton.assembly_calls"] > 0

@@ -64,7 +64,7 @@ def test_spec_carries_solver_options(tmp_path):
     args = parser.parse_args(
         [
             "dumbbell", "--dumbbell", "4", "5", "--steps", "16", "--theta", "upwind",
-            "--jacobian", "chord", "--tol", "1e-8", "--maxits", "50",
+            "--jacobian", "fd", "--tol", "1e-8", "--maxits", "50",
             "--no-damping", "--seed", "3", "--out", str(tmp_path / "x.json"),
         ]
     )
@@ -72,7 +72,7 @@ def test_spec_carries_solver_options(tmp_path):
     assert spec.dumbbell_sizes == (4, 5)
     assert spec.steps == 16
     assert spec.theta == "upwind"
-    assert spec.jacobian == "chord"
+    assert spec.jacobian == "fd"
     assert spec.tolerance == 1e-8
     assert spec.max_iterations == 50
     assert spec.damping is False

@@ -11,6 +11,8 @@ from graph_ot import (
     build_from_edge_list,
     five_node_example,
     kruskal,
+    lattice_1d_periodic,
+    lattice_2d_periodic,
     random_connected_graph,
     read_tree_file,
 )
@@ -74,33 +76,6 @@ def test_tree_validation_rejects_foreign_edges(five_node):
         SpanningTree(five_node, [(1, 2), (2, 3), (3, 4), (2, 5)])
 
 
-def test_path_coefficients_chord_telescopes(five_node):
-    t = tree_t1(five_node)
-    assert t.tree_path_coefficients((1, 3)) == {(1, 2): 1, (2, 3): 1}
-
-
-def test_path_coefficients_tree_edge_is_unit(five_node):
-    t = tree_t1(five_node)
-    assert t.tree_path_coefficients((3, 4)) == {(3, 4): 1}
-
-
-def test_path_coefficients_signs_follow_orientation(five_node):
-    # path 1 -> 5 -> 4 -> 3 -> 2: only (1,5) is traversed low-to-high
-    t = tree_t2(five_node)
-    assert t.tree_path_coefficients((1, 2)) == {
-        (1, 5): 1,
-        (4, 5): -1,
-        (3, 4): -1,
-        (2, 3): -1,
-    }
-
-
-def test_path_coefficients_unknown_edge(five_node):
-    t = tree_t1(five_node)
-    with pytest.raises(EdgeNotInGraphError):
-        t.tree_path_coefficients((2, 5))
-
-
 def test_expand_zero_is_zero(five_node):
     t = tree_t1(five_node)
     np.testing.assert_array_equal(
@@ -133,6 +108,15 @@ def test_expand_reproduces_tree_edges(five_node):
     expanded = dict(zip(five_node.edges, t.expand_velocities(v)))
     for f, vf in zip(t.tree_edges, v):
         assert expanded[f] == vf
+
+
+def test_expand_keeps_tiny_tree_velocities_beside_large_ones(five_node):
+    # the potentials at both ends of (2, 3) share all of 1e-9's digits
+    t = tree_t2(five_node)
+    v = np.array([3e7, 1e-9, -1.7e8, 2.3e-11])
+    expanded = t.expand_velocities(np.stack([v, -v]))
+    for f, vf in zip(t.tree_edges, v):
+        np.testing.assert_array_equal(expanded[:, five_node.edges.index(f)], [vf, -vf])
 
 
 def test_expand_stacked_levels(five_node):
@@ -186,10 +170,79 @@ def test_gauge_consistency_on_random_graphs(n, graph_seed, v_seed):
         assert ve == pytest.approx((s[j - 1] - s[i - 1]) * np.sqrt(w), abs=1e-12)
 
 
-def test_coefficients_are_signs(five_node):
-    for tree in (tree_t1(five_node), tree_t2(five_node), tree_t3(five_node)):
-        for e in five_node.edges:
-            assert set(tree.tree_path_coefficients(e).values()) <= {-1, 1}
+def weighted_graph_with_path(n, seed):
+    """A random connected graph with random weights that contains the path
+    through a random order of its nodes; returns the graph and that path."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    order = [int(k) + 1 for k in rng.permutation(n)]
+    path = [(min(a, b), max(a, b)) for a, b in zip(order[:-1], order[1:])]
+    edges = sorted(set(random_connected_graph(n, 0.3, seed).edges) | set(path))
+    weights = rng.uniform(0.1, 10.0, len(edges))
+    graph = build_from_edge_list([(i, j, w) for (i, j), w in zip(edges, weights)])
+    return graph, path
+
+
+def dense_gauge(tree):
+    """T of the module docstring as a dense matrix: row f holds sqrt(w_f) at
+    the head of tree edge f and -sqrt(w_f) at its tail, node N's column
+    dropped."""
+    n = tree.graph.node_count
+    t = np.zeros((n - 1, n))
+    f = np.arange(n - 1)
+    t[f, tree.head] = tree.sqrt_weights
+    t[f, tree.tail] = -tree.sqrt_weights
+    return t[:, :-1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 7, 16])
+def test_gauge_matches_dense_solve(n, seed):
+    graph, path = weighted_graph_with_path(n, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 100))
+    for tree in (kruskal(graph), SpanningTree(graph, path)):
+        v = rng.normal(0.0, 2.0, (5, n - 1))
+        s = np.linalg.solve(dense_gauge(tree), v.T).T
+        s = np.hstack([s, np.zeros((5, 1))])
+        scale = np.abs(s).max()
+        want = graph.sqrt_weights * (s[:, graph.head] - s[:, graph.tail])
+        for got in (tree.expand_velocities(v), [tree.expand_velocities(r) for r in v]):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+        for base in range(1, n + 1):
+            shifted = s - s[:, base - 1 : base]
+            potential = tree.recover_potential(v, base=base)
+            assert potential.shape == (5, n)
+            assert np.all(potential[:, base - 1] == 0.0)
+            np.testing.assert_allclose(potential, shifted, rtol=0.0, atol=1e-13 * scale)
+            for k in range(5):
+                np.testing.assert_array_equal(
+                    tree.recover_potential(v[k], base=base), potential[k]
+                )
+            velocities = tree.sqrt_weights * (
+                potential[:, tree.head] - potential[:, tree.tail]
+            )
+            np.testing.assert_allclose(velocities, v, rtol=0.0, atol=1e-12 * np.abs(v).max())
+
+
+@pytest.mark.parametrize(
+    "graph, nnz",
+    [
+        (lattice_1d_periodic(256, 1.0), 510),
+        (lattice_2d_periodic(16, 16, 4.0, -1.0), 4352),
+        (five_node_example(), None),
+        (weighted_graph_with_path(12, 5)[0], None),
+    ],
+    ids=["map1d-n256 ring", "16x16 grid", "five-node example", "weighted"],
+)
+def test_expansion_is_the_expansion_of_unit_vectors(graph, nnz):
+    tree = kruskal(graph)
+    n1 = graph.node_count - 1
+    expansion = tree.expansion
+    assert expansion.shape == (graph.edge_count, n1)
+    unit = np.array([tree.expand_velocities(e) for e in np.eye(n1)]).T
+    np.testing.assert_array_equal(expansion.toarray(), unit)
+    assert expansion.nnz == np.count_nonzero(unit)
+    if nnz is not None:
+        assert expansion.nnz == nnz
 
 
 def test_read_tree_file(tmp_path, five_node):
