@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--damping",
             action=argparse.BooleanOptionalAction,
             default=None,
-            help="halve steps that increase the residual (default per scenario)",
+            help="error-oriented damping of the Newton steps (default per scenario)",
         )
         solver.add_argument(
             "--tree", action="append", metavar="FILE", default=[],

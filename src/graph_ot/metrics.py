@@ -44,6 +44,11 @@ class DistanceEstimates:
         return float(np.sqrt(self.action_estimate))
 
 
+# the velocities of a diverged solve may overflow when squared; its status
+# says so, and its energies come out inf or NaN without a warning
+_diverged_quietly = np.errstate(over="ignore", invalid="ignore")
+
+
 def _level_energy(
     trajectory: Trajectory, graph: WeightedGraph, model: Mobility
 ) -> np.ndarray:
@@ -54,6 +59,7 @@ def _level_energy(
     return np.sum(th * v * v, axis=1)
 
 
+@_diverged_quietly
 def w2_action(
     trajectory: Trajectory, graph: WeightedGraph, model: Mobility
 ) -> float:
@@ -66,6 +72,7 @@ def w2_action(
     return float(tau * _level_energy(trajectory, graph, model)[:m].sum())
 
 
+@_diverged_quietly
 def w2_initial(
     trajectory: Trajectory, graph: WeightedGraph, model: Mobility
 ) -> float:
@@ -82,6 +89,7 @@ def distance_estimates(
     )
 
 
+@_diverged_quietly
 def hamiltonian_drift(
     trajectory: Trajectory, graph: WeightedGraph, model: Mobility
 ) -> float:

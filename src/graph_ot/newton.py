@@ -87,15 +87,20 @@ JACOBIAN_MODES = ("analytic", "fd")
 _FD_STEP = 1e-7
 # a first-Jacobian reciprocal-condition estimate below this is logged
 _RCOND_WARN = 1e-12
+# the error-oriented damping gives up once its factor falls below this
+_LAMBDA_MIN = 1e-8
 
 
 @dataclass
 class SolveConfig:
     """Newton iteration controls.
 
-    ``damping`` halves a rejected step up to 30 times until the residual
-    norm decreases, and stops the solve when none of those steps does;
-    plain Newton when off.
+    ``damping`` runs Deuflhard's error-oriented damping (NLEQ-ERR): a step
+    x + lambda dx is accepted when its simplified correction
+    J(x)^-1 F(x + lambda dx), solved with the factor of the step, is shorter
+    than (1 - lambda/4) |dx|, lambda being predicted from the last step and
+    corrected after each rejected trial (see ``newton_solve``).  Plain
+    Newton when off.
     """
 
     tolerance: float = 1e-10
@@ -119,18 +124,20 @@ class SolveReport:
     """Outcome of one solve.
 
     ``status`` is "converged", "max_iterations_exceeded",
-    "nonfinite_residual", "line_search_failed" (damping on, and neither
-    the Newton step nor any of its 30 halvings lowered the residual; the
-    solve keeps the last iterate, so ``residual_history`` strictly
-    decreases) or "singular_jacobian" (the Jacobian at the last iterate is
-    exactly singular or could not be factored; the solve stops there).
-    ``converged`` is true iff the final residual norm is below the
-    tolerance.  ``cfl_margin`` is the worst local margin
-    1 - tau * sum sqrt(w) v^+ over nodes and the M update levels (relevant
-    for the upwind model).  ``jacobian_rcond`` is a reciprocal-condition
-    estimate of the first matrix factored, the Newton matrix in node
-    potentials J^ = R J C (see the module docstring), 0 when it was found
-    singular, None when no factorization happened.
+    "nonfinite_residual", "line_search_failed" (damping on, and the damping
+    factor fell below 1e-8 before a trial passed the natural monotonicity
+    test; the solve keeps the last iterate) or "singular_jacobian" (the
+    Jacobian at the last iterate is exactly singular or could not be
+    factored; the solve stops there).  ``converged`` is true iff the final
+    residual norm is below the tolerance.  The damped residual norm need
+    not fall at every step: the damping bounds the Newton correction, not
+    the residual.  ``damping_factors`` holds the factor lambda of each
+    accepted step, all 1 without damping.  ``cfl_margin`` is the worst
+    local margin 1 - tau * sum sqrt(w) v^+ over nodes and the M update
+    levels (relevant for the upwind model).  ``jacobian_rcond`` is a
+    reciprocal-condition estimate of the first matrix factored, the Newton
+    matrix in node potentials J^ = R J C (see the module docstring), 0 when
+    it was found singular, None when no factorization happened.
     """
 
     trajectory: Trajectory
@@ -138,6 +145,7 @@ class SolveReport:
     status: str
     iterations: int
     residual_history: np.ndarray
+    damping_factors: np.ndarray
     positivity_ok: bool
     cfl_margin: float
     w2_action: float
@@ -665,6 +673,61 @@ def _rcond_estimate(matrix: sp.csr_matrix, lu: _CondensedFactor) -> float | None
 # -- the solver ---------------------------------------------------------------
 
 
+def _residual(problem: TransportProblem, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """F(x) and its norm.
+
+    A state far from the root may overflow; the solver reports that through
+    its status, so numpy stays quiet.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = assemble_residual(problem, x)
+        return residual, float(np.linalg.norm(residual))
+
+
+def _correction(
+    problem: TransportProblem, lu: _CondensedFactor, residual: np.ndarray
+) -> np.ndarray:
+    """-J^-1 F with J's factor, solved in potentials: C J^-1 (-R F)."""
+    return _from_potentials(problem, lu.solve(_to_nodal_rows(problem, -residual)))
+
+
+def _damped_step(
+    problem: TransportProblem,
+    lu: _CondensedFactor,
+    x: np.ndarray,
+    step: np.ndarray,
+    lam: float,
+):
+    """One step of the error-oriented damping from x along the correction.
+
+    A trial x + lam step passes the natural monotonicity test when its
+    simplified correction, solved with the factor ``lu`` of the step, is
+    shorter than (1 - lam/4) |step|.  A failed trial retries at
+    min(mu', lam/2), mu' = lam^2 |step| / (2 |simplified - (1 - lam) step|)
+    being Deuflhard's corrected estimate; a non-finite trial at lam/2.
+    Returns (lam, trial, its residual and residual norm, its simplified
+    correction), or None once lam falls below ``_LAMBDA_MIN``.
+    """
+    step_norm = np.linalg.norm(step)
+    if not np.isfinite(step_norm):
+        return None
+    while lam >= _LAMBDA_MIN:
+        trial = x + lam * step
+        residual, norm = _residual(problem, trial)
+        with np.errstate(over="ignore", invalid="ignore"):
+            simplified = _correction(problem, lu, residual)
+            simplified_norm = np.linalg.norm(simplified)
+        if not np.isfinite(simplified_norm):
+            lam *= 0.5
+            continue
+        if simplified_norm < (1.0 - 0.25 * lam) * step_norm:
+            return lam, trial, residual, norm, simplified
+        gap = np.linalg.norm(simplified - (1.0 - lam) * step)
+        corrected = 0.5 * step_norm * lam**2 / gap if gap > 0.0 else np.inf
+        lam = min(corrected, 0.5 * lam)
+    return None
+
+
 def newton_solve(
     problem: TransportProblem,
     x0: np.ndarray | None = None,
@@ -678,6 +741,16 @@ def newton_solve(
     iteration budget is exhausted.  Divergence, non-finite residuals and an
     exactly singular Jacobian are reported through the status, never
     raised; the report then holds the last iterate.
+
+    With damping, each step is damped by Deuflhard's error-oriented
+    NLEQ-ERR (*Newton Methods for Nonlinear Problems*, Springer 2004,
+    sec. 3.3), which is affine invariant like Newton's method itself.  The
+    first factor is 1; step k's is predicted from the last accepted step,
+    lambda_{k-1} |dx_{k-1}| |dxbar_k| / (|dxbar_k - dx_k| |dx_k|), dxbar_k
+    being the simplified correction of the accepted trial, and capped at
+    1.  Trials are then checked and corrected by ``_damped_step``.  A
+    predicted factor below ``_LAMBDA_MIN`` also ends the solve with
+    "line_search_failed".
     """
     if config is None:
         config = SolveConfig()
@@ -690,10 +763,14 @@ def newton_solve(
                 f"x0 must have shape ({state_size(problem)},), got {x.shape}"
             )
 
-    residual = assemble_residual(problem, x)
-    history = [float(np.linalg.norm(residual))]
+    residual, norm = _residual(problem, x)
+    history = [norm]
+    factors: list[float] = []
     iterations = 0
     rcond: float | None = None
+    # the last accepted damped step: its length lambda |dx| and the
+    # simplified correction of its trial
+    previous = None
 
     while True:
         if not np.isfinite(history[-1]):
@@ -720,27 +797,27 @@ def newton_solve(
         if rcond is None:
             rcond = _rcond_estimate(matrix, lu)
 
-        # J's step, solved in potentials: C J^-1 (-R F)
-        step = _from_potentials(problem, lu.solve(_to_nodal_rows(problem, -residual)))
+        step = _correction(problem, lu, residual)
+        lam = 1.0
         if config.damping:
-            alpha = 1.0
-            for _ in range(31):
-                trial = x + alpha * step
-                trial_residual = assemble_residual(problem, trial)
-                trial_norm = float(np.linalg.norm(trial_residual))
-                if np.isfinite(trial_norm) and trial_norm < history[-1]:
-                    break
-                alpha *= 0.5
-            else:
-                # no halving lowers the residual: keep the last iterate
+            if previous is not None:
+                last_length, simplified = previous
+                gap = np.linalg.norm(simplified - step) * np.linalg.norm(step)
+                if gap > 0.0:
+                    lam = min(1.0, last_length * np.linalg.norm(simplified) / gap)
+            accepted = _damped_step(problem, lu, x, step, lam)
+            if accepted is None:
+                # no acceptable damping factor: keep the last iterate
                 status = "line_search_failed"
                 break
-            x, residual = trial, trial_residual
+            lam, x, residual, norm, simplified = accepted
+            previous = (lam * np.linalg.norm(step), simplified)
         else:
             x = x + step
-            residual = assemble_residual(problem, x)
+            residual, norm = _residual(problem, x)
         iterations += 1
-        history.append(float(np.linalg.norm(residual)))
+        history.append(norm)
+        factors.append(lam)
 
     if rcond is not None and rcond < _RCOND_WARN:
         logger.warning(
@@ -760,6 +837,7 @@ def newton_solve(
         status=status,
         iterations=iterations,
         residual_history=np.array(history),
+        damping_factors=np.array(factors),
         positivity_ok=bool(trajectory.densities.min() >= 0.0),
         cfl_margin=float(margins.min()),
         w2_action=metrics.w2_action(trajectory, problem.graph, problem.model),

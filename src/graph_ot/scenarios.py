@@ -387,6 +387,7 @@ def _solve_document(
             "converged": report.converged,
             "iterations": report.iterations,
             "residual_history": report.residual_history.tolist(),
+            "damping_factors": report.damping_factors.tolist(),
             "positivity_ok": report.positivity_ok,
             "cfl_margin": report.cfl_margin,
             "jacobian_rcond": report.jacobian_rcond,

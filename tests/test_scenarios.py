@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -455,6 +457,60 @@ def test_benchmark_2d_scenario_small(tmp_path):
     assert run.exit_code == EXIT_OK
     assert run.document["config"]["damping"] is True  # per-scenario default
     assert run.document["extras"]["results_row"]["dx"] == pytest.approx(4.0 / 6.0)
+
+
+def test_benchmark_2d_defaults_damped(tmp_path):
+    # the 16x16 grid at its defaults starts far from its root; the damped
+    # solve reaches the same root as the residual-monotone search of before,
+    # in fewer steps
+    run = run_scenario(ScenarioSpec(scenario="benchmark-2d", out=str(tmp_path / "b2.json")))
+    assert run.exit_code == EXIT_OK
+    solver = run.document["solver"]
+    assert solver["status"] == "converged"
+    assert solver["iterations"] <= 9
+    assert run.document["metrics"]["w2_action"] == pytest.approx(1.0926242634633596, rel=1e-10)
+    factors = solver["damping_factors"]
+    assert len(factors) == solver["iterations"]
+    assert all(0.0 < lam <= 1.0 for lam in factors)
+    assert factors[0] < 1.0 and factors[-1] == 1.0
+
+
+def test_far_apart_pair_reports_negative_density(tmp_path):
+    # the damped solve used to creep for 100 iterations; the root it now
+    # reaches has a negative density, which the run reports
+    run = run_scenario(
+        ScenarioSpec(
+            scenario="benchmark-1d",
+            mu_gauss1d=(15.0, 0.0, 1e-6),
+            nu_gauss1d=(15.0, 2.0, 1e-6),
+            damping=True,
+            out=str(tmp_path / "far.json"),
+        )
+    )
+    assert run.exit_code == EXIT_INVARIANT_VIOLATION
+    solver = run.document["solver"]
+    assert solver["status"] == "converged"
+    assert solver["iterations"] <= 40
+    assert solver["positivity_ok"] is False
+    assert solver["cfl_margin"] < 0.0
+
+
+def test_diverged_solve_writes_its_artifact_quietly(tmp_path):
+    # without damping the far-apart pair overflows; the status reports it,
+    # and neither the solver nor the metrics warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_scenario(
+            ScenarioSpec(
+                scenario="benchmark-1d",
+                mu_gauss1d=(15.0, 0.0, 1e-6),
+                nu_gauss1d=(15.0, 2.0, 1e-6),
+                damping=False,
+                out=str(tmp_path / "far.json"),
+            )
+        )
+    assert run.exit_code == EXIT_NOT_CONVERGED
+    assert run.document["solver"]["status"] == "nonfinite_residual"
 
 
 def test_damping_override_wins(tmp_path, triangle_file, density_files):
