@@ -10,10 +10,10 @@ laid out level by level (see ``graph_ot.system``), so the columns of levels
 are one contiguous lower triangular block, factored without fill; the
 (N-1) x (N-1) Schur complement on the first level is factored densely.
 Large problems form that Schur complement by a forward sweep over the time
-levels, one sparse x dense product per level; small ones, where the
-per-level overhead of the sweep outweighs its work, by SuperLU solves with
-the triangular factor.  A size rule on the per-level work picks one (see
-``_CondensedFactor``).
+levels, one sparse x dense product per level, run by scipy's CSR kernel
+into two buffers that each factorization allocates once; small ones by
+SuperLU solves with the triangular factor.  A size rule on the per-level
+work picks one (see ``_CondensedFactor``).
 
 The state and the residual keep the spanning-tree gauge, but each Newton
 step is solved in node potentials S, node N's pinned to zero.  Tree edge f
@@ -51,6 +51,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+# Y += A X for a CSR A and dense row-major X and Y, the kernel behind
+# scipy's CSR @ dense; private to scipy, so tests pin its behaviour
+from scipy.sparse._sparsetools import csr_matvecs
 
 from . import metrics
 from .errors import DimensionMismatchError, SingularJacobianError
@@ -458,6 +461,46 @@ _SWEEP_MIN_WORK = 1e5
 _getrf = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
 
 
+def _level_blocks(a11: sp.csr_matrix, a12: sp.csr_matrix):
+    """The diagonal D of A12 and its strict lower part scaled by -D^-1.
+
+    The lower part is one CSR triple (indptr, indices, data) in A12's index
+    dtype, each entry's column shifted into the level before its row's, so
+    that a level's rows are a slice of indptr against one level's columns.
+    Raises ValueError unless A12 and A11 have the pattern ``_sweep_schur``
+    needs.
+    """
+    top, n1 = a11.shape
+    width = 2 * n1
+    col = a12.indices
+    count = np.diff(a12.indptr)
+    level = np.repeat(np.arange(top, dtype=col.dtype), count)  # each entry's row
+    on_diagonal = col == level
+    diagonal = level[on_diagonal]
+    level //= width
+    # off the diagonal, every entry must lie in the level before its row's
+    valid = col // width + 1 == level
+    valid |= on_diagonal
+    if a11.indptr[min(width, top)] != a11.nnz or not valid.all():
+        raise ValueError(
+            "the level sweep needs A12 block lower bidiagonal in time, with "
+            "diagonal matrices on its diagonal blocks, and A11 within the "
+            "rows of the first level"
+        )
+    del level, valid  # entry-sized; held on, they would set the sweep's peak
+    below = np.logical_not(on_diagonal, out=on_diagonal)
+    count -= np.bincount(diagonal, minlength=top).astype(count.dtype)
+    indptr = np.zeros(top + 1, dtype=col.dtype)
+    np.cumsum(count, out=indptr[1:])
+    d = a12.diagonal()
+    data = a12.data[below]
+    np.negative(data, out=data)
+    data /= np.repeat(d, count)
+    indices = col[below]
+    indices %= width
+    return d, (indptr, indices, data)
+
+
 def _sweep_schur(
     a11: sp.csr_matrix, a12: sp.csr_matrix, a21: sp.csr_matrix, a22: sp.csr_matrix
 ) -> np.ndarray:
@@ -467,62 +510,60 @@ def _sweep_schur(
     of A12, N-1 of them at the last level.  A12 must be block lower
     bidiagonal: a diagonal matrix D_k on each diagonal block and one
     sub-diagonal block L_k per level; A11 must lie in the rows of level 0.
-    Each level's D_k and L_k are read from its CSR rows of A12.  Then
+    Any other pattern raises ValueError.  A zero in D makes A12 singular,
+    which its SuperLU factor has already reported.
+
     Y_0 = D_0^-1 A11 and Y_k = -D_k^-1 L_k Y_{k-1}, one sparse x dense
-    product per level with one level's block held at a time, and only the
-    levels that A22 touches are multiplied into K.  Any other pattern
-    raises ValueError.  A zero in D makes A12 singular, which its SuperLU
-    factor has already reported.
+    product per level, and only the levels that A22 touches are multiplied
+    into K.  A column panel of Y moves between two buffers allocated once,
+    and each product runs scipy's CSR kernel ``csr_matvecs`` (Y += A X) on
+    slices of ``_level_blocks``' one CSR triple, so the loop over the
+    levels allocates nothing.  The negated columns of A22 accumulate into K
+    from zero, or into one panel of K when K is formed in column chunks,
+    and A21 is added last: each entry is the sum ``A21 - A22 @ Y`` would
+    form, term by term in the same order, whenever A22 touches one level,
+    as the terminal density rows of the Newton matrix do.
     """
     top, n1 = a11.shape
     width = 2 * n1
-    ptr = a12.indptr
-    touched = np.unique(a22.indices // width)
-    bidiagonal = a11.indptr[min(width, top)] == a11.nnz  # A11 in level 0
-    d = np.empty(top)
-    # per level up to the last that A22 touches: -D_k^-1 L_k (none at level
-    # 0) and A22's columns of the level (none where they are all zero)
-    steps = []
-    for k in range(-(-top // width)):
-        r0, r1 = k * width, min((k + 1) * width, top)
-        row = np.repeat(np.arange(r0, r1), np.diff(ptr[r0 : r1 + 1]))
-        col, val = a12.indices[ptr[r0] : ptr[r1]], a12.data[ptr[r0] : ptr[r1]]
-        on_diagonal = col == row
-        below = ~on_diagonal
-        bidiagonal = bidiagonal and np.all(on_diagonal | (col // width == k - 1))
-        if not bidiagonal:
-            raise ValueError(
-                "the level sweep needs A12 block lower bidiagonal in time, with "
-                "diagonal matrices on its diagonal blocks, and A11 within the "
-                "rows of the first level"
-            )
-        d[r0:r1] = np.bincount(
-            row[on_diagonal] - r0, val[on_diagonal], minlength=r1 - r0
-        )
-        if not touched.size or k > touched[-1]:
-            continue
-        block = None
-        if k:
-            count = np.bincount(row[below] - r0, minlength=r1 - r0)
-            block = sp.csr_matrix(
-                (
-                    -val[below] / d[row[below]],
-                    col[below] - (k - 1) * width,
-                    np.concatenate([[0], np.cumsum(count)]),
-                ),
-                shape=(r1 - r0, width),
-            )
-        steps.append((block, a22[:, r0:r1] if k in touched else None))
+    touched = np.unique(a22.indices // width).tolist()
+    d, (ptr, indices, data) = _level_blocks(a11, a12)
+    if not touched:
+        return a21.toarray()
+    a22_levels = {k: -a22[:, k * width : (k + 1) * width] for k in touched}
 
-    schur = a21.toarray()
-    chunk = max(1, _SCHUR_CHUNK_BYTES // (8 * width))
+    rows = min(width, top)  # of level 0: all of A12's rows when M = 1
+    chunk = min(n1, max(1, _SCHUR_CHUNK_BYTES // (8 * width)))
+    y, spare = np.empty(rows * chunk), np.empty(rows * chunk)
+    schur = np.zeros((n1, n1))
+    panel = schur.ravel() if chunk == n1 else np.empty(n1 * chunk)
     for j in range(0, n1, chunk):
-        y = a11[:width, j : j + chunk].toarray() / d[:width, None]
-        for block, a22_level in steps:
-            if block is not None:
-                y = block @ y
-            if a22_level is not None:
-                schur[:, j : j + chunk] -= a22_level @ y
+        c = min(chunk, n1 - j)
+        first = y[: rows * c].reshape(rows, c)
+        a11[:rows, j : j + c].toarray(out=first)
+        first /= d[:rows, None]
+        target = panel[: n1 * c]
+        target[:] = 0.0
+        for k in range(touched[-1] + 1):
+            r0, r1 = k * width, min((k + 1) * width, top)
+            size = (r1 - r0) * c
+            if k:
+                y, spare = spare, y
+                y[:size] = 0.0
+                csr_matvecs(
+                    r1 - r0, width, c, ptr[r0 : r1 + 1], indices, data,
+                    spare[: width * c], y[:size],
+                )
+            if k in a22_levels:
+                a22_k = a22_levels[k]
+                csr_matvecs(
+                    n1, r1 - r0, c, a22_k.indptr, a22_k.indices, a22_k.data,
+                    y[:size], target,
+                )
+        if chunk < n1:
+            schur[:, j : j + c] = target.reshape(n1, c)
+    a21 = a21.tocoo()
+    np.add.at(schur, (a21.row, a21.col), a21.data)
     return schur
 
 
@@ -545,26 +586,27 @@ class _CondensedFactor:
     ``_sweep_schur`` sweeps the time levels, one sparse x dense product
     each, holding one level's 2(N-1) rows of it.  Below it, A12^-1 A11
     comes from SuperLU solves with the factor of A12 on chunks of A11's
-    columns: there the sweep's fixed cost per level (building the level's
-    CSR block and calling the product) outweighs its savings.  K formation
-    per factorization of J^ at the first Newton iterate of each benchmark
-    operation (medians, one BLAS thread, shared 2-core VM, numpy 2.4,
-    scipy 1.17; the VM ran the sweep's per-level overhead at about 100 us
-    that day, against 25 us in an earlier measurement, on both J and J^):
+    columns.  K formation per factorization of J^ at the iterate after one
+    Newton step of each benchmark operation (medians of 9, one BLAS thread,
+    shared 2-core VM, numpy 2.4, scipy 1.17, glibc's mmap threshold fixed
+    at 128 KiB as the benchmark fixes it; A12's factor is not counted):
 
         problem                  W      SuperLU   sweep
-        tree-compare             160    0.13 ms   7.1 ms
-        check-cfl                590    0.40 ms   15 ms
-        dumbbell                 710    0.36 ms   14 ms
-        consensus                1.5k   1.3 ms    27 ms
-        benchmark-1d             48k    5.3 ms    5.6 ms
-        recover-topology         72k    16 ms     29 ms
-        map-benchmark n=256      0.82M  317 ms    47 ms
-        benchmark-2d 16x16       1.3M   83 ms     17 ms
+        tree-compare             160    0.29 ms   0.97 ms
+        check-cfl                590    0.63 ms   1.7 ms
+        dumbbell                 710    0.66 ms   1.7 ms
+        consensus                1.5k   2.4 ms    4.4 ms
+        solve (ring)             6.7k   2.0 ms    1.4 ms
+        benchmark-1d             48k    12 ms     2.9 ms
+        recover-topology         72k    23 ms     21 ms
+        map-benchmark n=256      0.82M  348 ms    48 ms
+        benchmark-2d 16x16       1.3M   113 ms    19 ms
 
-    The sweep loses up to W = 7.2e4 and wins from 8.2e5; 1e5 lies between
-    and keeps both sides as they were for the tree-gauge J, whose W differ
-    only where the gauge stretched (benchmark-2d: 3.5M).
+    The sweep wins from 8.2e5 on and loses at and below 1.5e3, but W alone
+    does not rank the two between: the sweep is 4x faster on benchmark-1d
+    and level with SuperLU on recover-topology, whose W is larger.  1e5
+    keeps every problem on the side it was on before, where K differs
+    between the two ways in rounding.
 
     An exactly zero column of K makes the matrix exactly singular and
     raises SingularJacobianError with rcond 0.  Any other zero pivot of K,

@@ -84,6 +84,11 @@ class TransportProblem:
     _jacobian_template: object = field(
         default=None, init=False, repr=False, compare=False
     )
+    # the tree velocities level_fields last expanded, as bytes, with their
+    # read-only edge velocities, kept until its next call
+    _expansion: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = self.graph.node_count
@@ -343,10 +348,23 @@ def reduced_rhs(
 def level_fields(
     problem: TransportProblem, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(densities (M+1, N), tree velocities (M+1, N-1), edge velocities)."""
+    """(densities (M+1, N), tree velocities (M+1, N-1), edge velocities).
+
+    The edge velocities are read-only and kept for one more call: the next
+    call with the same tree velocities, bit for bit, returns the same array
+    instead of expanding them again, so the residual and the Jacobian at
+    one iterate share one expansion.
+    """
     interior, vel = _split(problem, x)
     rho = _full_densities(problem, interior)
-    return rho, vel, problem.tree.expand_velocities(vel)
+    key = vel.tobytes()
+    kept, problem._expansion = problem._expansion, None
+    if kept is not None and kept[0] == key:
+        return rho, vel, kept[1]
+    edge_vel = problem.tree.expand_velocities(vel)
+    edge_vel.flags.writeable = False
+    problem._expansion = (key, edge_vel)
+    return rho, vel, edge_vel
 
 
 def _density_rows_and_kinetic(

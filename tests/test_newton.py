@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -692,6 +693,141 @@ def test_schur_complement_same_by_sweep_and_superlu(make, monkeypatch):
         assert gap <= 1e-12
 
 
+def condensed_blocks(p, x):
+    """A11, A12, A21 and A22 of J^ at x, as ``_CondensedFactor`` slices them."""
+    n1 = p.graph.node_count - 1
+    top = state_size(p) - n1
+    j = assemble_jacobian_analytic(p, x)
+    return j[:top, :n1], j[:top, n1:], j[top:, :n1], j[top:, n1:]
+
+
+def textbook_schur(a11, a12, a21, a22):
+    """K = A21 - A22 A12^-1 A11 by the level recursion in sparse algebra:
+    Y_0 = D_0^-1 A11, Y_k = -D_k^-1 L_k Y_{k-1}, K -= A22_k Y_k."""
+    top, n1 = a11.shape
+    width = 2 * n1
+    d = a12.diagonal()
+    lower = sp.tril(a12, k=-1, format="csr")
+    lower.data = -lower.data / np.repeat(d, np.diff(lower.indptr))
+    y = a11[:width].toarray() / d[:width, None]
+    schur = a21.toarray()
+    for k in range(-(-top // width)):
+        r0, r1 = k * width, min((k + 1) * width, top)
+        if k:
+            y = lower[r0:r1, r0 - width : r0] @ y
+        schur -= a22[:, r0:r1] @ y
+    return schur
+
+
+sweep_problems = pytest.mark.parametrize(
+    "make, steps",
+    [
+        (gaussian_line_problem, None),
+        (gaussian_line_problem, 1),
+        (gaussian_line_problem, 2),
+        (gaussian_grid_problem, None),
+        (gaussian_grid_problem, 1),
+    ],
+    ids=["1-d lattice", "1-d lattice M=1", "1-d lattice M=2", "2-d grid", "2-d grid M=1"],
+)
+
+
+def with_steps(make, steps):
+    p = make()
+    return p if steps is None else TransportProblem(p.graph, p.mu, p.nu, steps)
+
+
+@sweep_problems
+def test_sweep_equals_textbook_recursion_bitwise(make, steps):
+    # the buffered sweep adds the same terms in the same order as the
+    # recursion written in sparse products
+    p = with_steps(make, steps)
+    first = default_initial_guess(p)
+    second = pack(p, newton_solve(p, config=SolveConfig(max_iterations=1)).trajectory)
+    for x in (first, second):
+        blocks = condensed_blocks(p, x)
+        assert np.array_equal(graph_ot.newton._sweep_schur(*blocks), textbook_schur(*blocks))
+
+
+@sweep_problems
+def test_schur_complement_same_in_narrow_panels(make, steps, monkeypatch):
+    # K formed in column chunks, the last narrower than the others, equals
+    # K formed in one panel exactly
+    p = with_steps(make, steps)
+    n1 = p.graph.node_count - 1
+    x = pack(p, newton_solve(p, config=SolveConfig(max_iterations=1)).trajectory)
+    whole = schur_complement(p, x, monkeypatch, 0.0)
+    for columns in (n1 // 2 + 1, 2, 1):
+        assert columns == 1 or n1 % columns  # a narrower last panel
+        monkeypatch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 16 * n1 * columns)
+        assert np.array_equal(schur_complement(p, x, monkeypatch, 0.0), whole)
+
+
+def test_sweep_level_loop_allocates_nothing(monkeypatch):
+    # between two kernel calls of the level loop nothing of a panel's size
+    # is allocated, and the kernel writes into the same buffers, at 8 and at
+    # 64 levels; no sparse product runs at all
+    kernel = graph_ot.newton.csr_matvecs
+    g = lattice_2d_periodic(5, 5, 4.0, -1.0)
+    mu = gaussian_density_2d(g, 2, 2, 0.5, 1.5, 1, 1e-2)
+    nu = gaussian_density_2d(g, 2, 2, 1.5, 1.3, 1, 1e-2)
+    problems = {steps: TransportProblem(g, mu, nu, steps) for steps in (8, 64)}
+    blocks = {m: condensed_blocks(p, default_initial_guess(p)) for m, p in problems.items()}
+    panel_bytes = 8 * 2 * 24 * 24
+    products = []
+    monkeypatch.setattr(
+        sp._compressed._cs_matrix,
+        "_matmul_multivector",
+        lambda self, other: products.append(self.shape),
+    )
+    seen = {}
+    for steps in (8, 64):
+        calls, outputs, bumps = [], set(), []
+
+        def recording(*args):
+            current, peak = tracemalloc.get_traced_memory()
+            bumps.append(peak - current)
+            tracemalloc.reset_peak()
+            outputs.add(args[-1].__array_interface__["data"][0])
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(graph_ot.newton, "csr_matvecs", recording)
+        tracemalloc.start()
+        try:
+            graph_ot.newton._sweep_schur(*blocks[steps])
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == steps - 1  # one per level but the last, and K's
+        assert max(bumps[1:]) < panel_bytes
+        seen[steps] = len(outputs)
+    assert seen[8] == seen[64] <= 3
+    assert not products
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_matvecs_accumulates(index_dtype):
+    # the kernel the level sweep runs: Y += A X, row by row over the stored
+    # entries, which into a zero Y is A @ X bit for bit
+    kernel = graph_ot.newton.csr_matvecs
+    rng = np.random.Generator(np.random.PCG64(7))
+    for rows, cols, vecs in ((1, 1, 1), (7, 5, 3), (40, 30, 9)):
+        block = sp.csr_matrix(rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.3))
+        ptr, idx = block.indptr.astype(index_dtype), block.indices.astype(index_dtype)
+        x = rng.normal(size=(cols, vecs))
+        y = np.zeros((rows, vecs))
+        kernel(rows, cols, vecs, ptr, idx, block.data, x.ravel(), y.ravel())
+        assert np.array_equal(y, block @ x)
+        # on integers every sum is exact, so accumulation shows as Y + A X
+        ints = block.copy()
+        ints.data = rng.integers(-9, 10, size=block.nnz).astype(float)
+        x = rng.integers(-9, 10, size=(cols, vecs)).astype(float)
+        y0 = rng.integers(-99, 100, size=(rows, vecs)).astype(float)
+        y = y0.copy()
+        kernel(rows, cols, vecs, ptr, idx, ints.data, x.ravel(), y.ravel())
+        assert np.array_equal(y, y0 + ints @ x)
+
+
 @pytest.mark.parametrize(
     "make, ties",
     EDGE_CASES + [(gaussian_grid_problem, False)],
@@ -902,6 +1038,24 @@ def test_splu_factors_only_the_triangular_block(monkeypatch):
         assert report.converged
         assert shapes == [(top, top)] * report.iterations
         shapes.clear()
+
+
+@pytest.mark.parametrize("damping", [False, True], ids=["undamped", "damped"])
+def test_residual_and_jacobian_share_one_expansion(damping, monkeypatch):
+    # the first residual, then one expansion per iterate, which its residual
+    # and the next Jacobian share (no damped trial is rejected here), and one
+    # for the report
+    calls = []
+    expand = SpanningTree.expand_velocities
+
+    def counting(tree, velocities):
+        calls.append(velocities.shape)
+        return expand(tree, velocities)
+
+    monkeypatch.setattr(SpanningTree, "expand_velocities", counting)
+    report = newton_solve(dumbbell_problem(), config=SolveConfig(damping=damping))
+    assert report.converged
+    assert len(calls) == report.iterations + 2
 
 
 def test_jacobian_template_is_built_once_and_assembly_repeats(monkeypatch):

@@ -18,6 +18,7 @@ from graph_ot import (
     explicit_upwind_update,
     hamiltonian,
     kruskal,
+    level_fields,
     pack,
     pack_fields,
     random_connected_graph,
@@ -233,6 +234,34 @@ def test_unpack_edge_velocities_expand_tree_rows():
     np.testing.assert_array_equal(
         traj.edge_velocities, p.tree.expand_velocities(traj.tree_velocities)
     )
+
+
+def test_level_fields_expands_each_velocity_state_once():
+    g = dumbbell(3, 3)
+    p = TransportProblem(g, seeded_random_density(6, 0), seeded_random_density(6, 1), 4)
+    rng = np.random.Generator(np.random.PCG64(13))
+    x = rng.normal(0.0, 1.0, state_size(p))
+    _, vel, edge = level_fields(p, x)
+    np.testing.assert_array_equal(edge, p.tree.expand_velocities(vel))
+    assert not edge.flags.writeable
+    with pytest.raises(ValueError):
+        edge[0, 0] = 1.0
+    # the same velocities, bit for bit: the same array, once
+    same = x.copy()
+    same[10] += 1.0  # rho^2 at node 1, after v^1 and v^2
+    assert level_fields(p, same)[2] is edge
+    again = level_fields(p, same)[2]
+    assert again is not edge
+    np.testing.assert_array_equal(again, edge)
+    edge = again
+    # any other bits, a signed zero included, are expanded afresh
+    for changed in (np.nextafter(x[0], np.inf), -0.0, 0.0):
+        y = x.copy()
+        y[0] = changed
+        _, vel, other = level_fields(p, y)
+        assert other is not edge
+        np.testing.assert_array_equal(other, p.tree.expand_velocities(vel))
+        edge = other
 
 
 def test_trajectory_times_cover_unit_interval():
