@@ -108,4 +108,4 @@ class SingularJacobianError(GraphOTError, RuntimeError):
 
 
 class InputFormatError(GraphOTError, ValueError):
-    """A text input file does not follow the documented format."""
+    """A text input file or a run option does not follow the documented format."""

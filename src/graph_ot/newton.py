@@ -9,11 +9,9 @@ laid out level by level (see ``graph_ot.system``), so the columns of levels
 2..M+1 against every row but the terminal density rows, which come last,
 are one contiguous lower triangular block, factored without fill; the
 (N-1) x (N-1) Schur complement on the first level is factored densely.
-Large problems form that Schur complement by a forward sweep over the time
-levels, one sparse x dense product per level, run by scipy's CSR kernel
-into two buffers that each factorization allocates once; small ones by
-SuperLU solves with the triangular factor.  A size rule on the per-level
-work picks one (see ``_CondensedFactor``).
+That Schur complement is formed by a forward sweep over the time levels,
+one sparse x dense product per level, run by scipy's CSR kernel into two
+buffers that each factorization allocates once (see ``_CondensedFactor``).
 
 The state and the residual keep the spanning-tree gauge, but each Newton
 step is solved in node potentials S, node N's pinned to zero.  Tree edge f
@@ -56,7 +54,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvecs
 
 from . import metrics
-from .errors import DimensionMismatchError, SingularJacobianError
+from .errors import DimensionMismatchError, InputFormatError, SingularJacobianError
 from .graph import WeightedGraph
 from .system import (
     TransportProblem,
@@ -112,12 +110,12 @@ class SolveConfig:
     damping: bool = False
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not 0.0 < self.tolerance < np.inf:
+            raise InputFormatError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise InputFormatError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.jacobian not in JACOBIAN_MODES:
-            raise ValueError(
+            raise InputFormatError(
                 f"jacobian must be one of {JACOBIAN_MODES}, got {self.jacobian!r}"
             )
 
@@ -448,14 +446,9 @@ def assemble_jacobian_fd(problem: TransportProblem, x: np.ndarray) -> sp.csr_mat
 # -- linear algebra helpers --------------------------------------------------
 
 
-# largest dense block of A12^-1 A11 held at once while forming the Schur
-# complement: of all (2M-1)(N-1) rows by SuperLU solves, of one level's
-# 2(N-1) rows by the level sweep
+# largest column panel of one level's 2(N-1) rows of A12^-1 A11 that the
+# level sweep holds at once while forming the Schur complement
 _SCHUR_CHUNK_BYTES = 32 * 2**20
-
-# per-level work nnz(strict lower A12) (N-1) / M from which the level sweep
-# forms the Schur complement faster than SuperLU; see _CondensedFactor
-_SWEEP_MIN_WORK = 1e5
 
 # LAPACK's LU without scipy.linalg.lu_factor's warning on a zero pivot
 _getrf = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
@@ -581,32 +574,16 @@ class _CondensedFactor:
     in time.  A12 is factored as it stands, without fill, and the
     (N-1) x (N-1) Schur complement K = A21 - A22 A12^-1 A11 densely.
 
-    K is formed one of two ways, chosen by the per-level work
-    W = nnz(strict lower A12) (N-1) / M.  From W >= _SWEEP_MIN_WORK,
-    ``_sweep_schur`` sweeps the time levels, one sparse x dense product
-    each, holding one level's 2(N-1) rows of it.  Below it, A12^-1 A11
-    comes from SuperLU solves with the factor of A12 on chunks of A11's
-    columns.  K formation per factorization of J^ at the iterate after one
-    Newton step of each benchmark operation (medians of 9, one BLAS thread,
-    shared 2-core VM, numpy 2.4, scipy 1.17, glibc's mmap threshold fixed
-    at 128 KiB as the benchmark fixes it; A12's factor is not counted):
-
-        problem                  W      SuperLU   sweep
-        tree-compare             160    0.29 ms   0.97 ms
-        check-cfl                590    0.63 ms   1.7 ms
-        dumbbell                 710    0.66 ms   1.7 ms
-        consensus                1.5k   2.4 ms    4.4 ms
-        solve (ring)             6.7k   2.0 ms    1.4 ms
-        benchmark-1d             48k    12 ms     2.9 ms
-        recover-topology         72k    23 ms     21 ms
-        map-benchmark n=256      0.82M  348 ms    48 ms
-        benchmark-2d 16x16       1.3M   113 ms    19 ms
-
-    The sweep wins from 8.2e5 on and loses at and below 1.5e3, but W alone
-    does not rank the two between: the sweep is 4x faster on benchmark-1d
-    and level with SuperLU on recover-topology, whose W is larger.  1e5
-    keeps every problem on the side it was on before, where K differs
-    between the two ways in rounding.
+    ``_sweep_schur`` forms K by sweeping the time levels, one sparse x
+    dense product each, holding one level's 2(N-1) rows of A12^-1 A11.
+    Per factorization it forms K of the 1-d map problem (n=256, M=64) in
+    48 ms and of the 16x16 2-d benchmark in 19 ms, against 348 and 113 ms
+    by SuperLU solves with A12's factor on chunks of A11's columns (one
+    BLAS thread, shared 2-core VM, numpy 2.4, scipy 1.17).  It is level
+    with those solves on K10 and faster from the 32-node ring up.  Only on
+    sparse graphs of 10 nodes or fewer does its fixed cost per level make
+    it slower, by 1-2 ms, which no workload resolves, so it is the only
+    way K is formed.  A12's factor serves every solve.
 
     An exactly zero column of K makes the matrix exactly singular and
     raises SingularJacobianError with rcond 0.  Any other zero pivot of K,
@@ -634,15 +611,7 @@ class _CondensedFactor:
                 f"Jacobian factorization failed: {exc}"
             ) from exc
 
-        if (a12.nnz - top) * n1 >= _SWEEP_MIN_WORK * m:
-            schur = _sweep_schur(self.a11, a12, a21, self.a22)
-        else:
-            schur = a21.toarray()
-            chunk = max(1, _SCHUR_CHUNK_BYTES // (8 * top))
-            for j in range(0, n1, chunk):
-                columns = self.a11[:, j : j + chunk].toarray()
-                schur[:, j : j + chunk] -= self.a22 @ self.a12_lu.solve(columns)
-
+        schur = _sweep_schur(self.a11, a12, a21, self.a22)
         zero_columns = np.flatnonzero(~schur.any(axis=0))
         if zero_columns.size:
             raise SingularJacobianError(

@@ -701,9 +701,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
         jacobian=spec.jacobian,
         damping=damping,
     )
+    steps = scenario.steps if spec.steps is None else spec.steps
     solves = []
     for tree in trees:
-        problem = TransportProblem(graph, mu, nu, spec.steps or scenario.steps, model=model, tree=tree)
+        problem = TransportProblem(graph, mu, nu, steps, model=model, tree=tree)
         start = time.monotonic()
         report = newton_solve(problem, config=config)
         solves.append((problem, report, time.monotonic() - start))

@@ -58,7 +58,6 @@ __all__ = [
     "nodal_kinetic",
     "reduced_rhs",
     "assemble_residual",
-    "residual_fields",
     "explicit_upwind_update",
 ]
 
@@ -385,36 +384,20 @@ def _density_rows_and_kinetic(
     return f_rho, nodal_kinetic(g, cur_rho, cur_v, problem.model)
 
 
-def residual_fields(
-    problem: TransportProblem,
-    rho: np.ndarray,
-    tree_velocities: np.ndarray,
-    edge_velocities: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Density and velocity residual blocks from full field arrays.
-
-    Rows m = 0..M-1 hold F^m+1; shapes are (M, N-1) each.
-    """
-    tree = problem.tree
-    m = problem.steps
-    if edge_velocities is None:
-        edge_velocities = tree.expand_velocities(tree_velocities)
-    f_rho, kinetic = _density_rows_and_kinetic(problem, rho, edge_velocities)
-    phi = 0.5 * problem.tau * tree.sqrt_weights * (
-        kinetic[:, tree.head] - kinetic[:, tree.tail]
-    )
-    f_v = tree_velocities[1:] - tree_velocities[:m] + phi
-    return f_rho, f_v
-
-
 def assemble_residual(problem: TransportProblem, x: np.ndarray) -> np.ndarray:
     """Full nonlinear residual F(x); zero exactly at a discrete geodesic.
 
     Defined for any real state: interior densities may leave the simplex
     during Newton iterations and the mobility is evaluated there as well.
     """
+    tree = problem.tree
+    m = problem.steps
     rho, vel, edge_vel = level_fields(problem, x)
-    f_rho, f_v = residual_fields(problem, rho, vel, edge_vel)
+    f_rho, kinetic = _density_rows_and_kinetic(problem, rho, edge_vel)
+    phi = 0.5 * problem.tau * tree.sqrt_weights * (
+        kinetic[:, tree.head] - kinetic[:, tree.tail]
+    )
+    f_v = vel[1:] - vel[:m] + phi
     return np.stack([f_v, f_rho], axis=1).ravel()
 
 

@@ -148,6 +148,26 @@ def test_bad_option_value_is_usage_error(capsys):
     assert "eight" in stderr_error(capsys)["message"]
 
 
+@pytest.mark.parametrize(
+    "option, error",
+    [
+        (["--tol", "0"], "InputFormatError"),
+        (["--tol", "nan"], "InputFormatError"),
+        (["--maxits", "0"], "InputFormatError"),
+        (["--steps", "0"], "DimensionMismatchError"),
+    ],
+    ids=["tol 0", "tol nan", "maxits 0", "steps 0"],
+)
+def test_bad_solver_value_is_input_error(option, error, tmp_path, capsys):
+    out = tmp_path / "bad.json"
+    assert main(["dumbbell", "--out", str(out)] + option) == 2
+    reported = stderr_error(capsys)
+    assert reported["type"] == error
+    assert reported["exit_code"] == 2
+    assert option[1] in reported["message"]
+    assert not out.exists()
+
+
 def test_missing_graph_file(tmp_path, capsys):
     mu = tmp_path / "mu.txt"
     nu = tmp_path / "nu.txt"

@@ -17,7 +17,6 @@ from graph_ot import (
     assemble_jacobian_analytic,
     assemble_jacobian_fd,
     assemble_residual,
-    benchmark_1d_map_densities,
     build_from_edge_list,
     check_cfl,
     complete_graph,
@@ -33,10 +32,8 @@ from graph_ot import (
     newton_solve,
     pack,
     pack_fields,
-    random_connected_graph,
     seeded_random_density,
     state_size,
-    uniform_density,
     unpack,
 )
 from graph_ot.errors import SingularJacobianError
@@ -65,6 +62,8 @@ def dumbbell_problem(model=ARITHMETIC_MEAN, steps=8):
     [
         {"tolerance": 0.0},
         {"tolerance": -1e-10},
+        {"tolerance": float("nan")},
+        {"tolerance": float("inf")},
         {"max_iterations": 0},
         {"jacobian": "exact"},
     ],
@@ -622,22 +621,14 @@ def test_condensed_factor_matches_full_lu(make, ties, monkeypatch):
     p = make()
     size = state_size(p)
     n1 = p.graph.node_count - 1
-    top = size - n1
     rng = np.random.Generator(np.random.PCG64(12))
     for x in edge_case_iterates(p, ties, count=3):
         for matrix in (assemble_jacobian_analytic(p, x), assemble_jacobian_fd(p, x)):
-            factors = []
-            for rule in (
-                {"_SWEEP_MIN_WORK": 0.0},  # the level sweep
-                {"_SWEEP_MIN_WORK": np.inf},  # SuperLU solves
-                # each two columns at a time
-                {"_SWEEP_MIN_WORK": 0.0, "_SCHUR_CHUNK_BYTES": 32 * n1},
-                {"_SWEEP_MIN_WORK": np.inf, "_SCHUR_CHUNK_BYTES": 16 * top},
-            ):
-                with monkeypatch.context() as patch:
-                    for name, value in rule.items():
-                        patch.setattr(graph_ot.newton, name, value)
-                    factors.append(_CondensedFactor(p, matrix))
+            factors = [_CondensedFactor(p, matrix)]
+            with monkeypatch.context() as patch:
+                # K formed two columns at a time
+                patch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 32 * n1)
+                factors.append(_CondensedFactor(p, matrix))
             full = spla.splu(matrix.tocsc())
             for b in (rng.normal(size=size), rng.normal(size=(size, 3))):
                 for trans in ("N", "T"):
@@ -649,8 +640,8 @@ def test_condensed_factor_matches_full_lu(make, ties, monkeypatch):
                         assert gap <= 1e-10, (trans, gap)
 
 
-def schur_complement(p, x, monkeypatch, min_work):
-    """K as the condensed factor forms it at x under the given size rule."""
+def schur_complement(p, x, monkeypatch):
+    """K as the condensed factor forms it at x."""
     seen = []
     getrf = graph_ot.newton._getrf
 
@@ -660,7 +651,6 @@ def schur_complement(p, x, monkeypatch, min_work):
 
     with monkeypatch.context() as patch:
         patch.setattr(graph_ot.newton, "_getrf", recording)
-        patch.setattr(graph_ot.newton, "_SWEEP_MIN_WORK", min_work)
         _CondensedFactor(p, assemble_jacobian_analytic(p, x))
     return seen[0]
 
@@ -687,8 +677,9 @@ def test_schur_complement_same_by_sweep_and_superlu(make, monkeypatch):
     first = default_initial_guess(p)
     second = pack(p, newton_solve(p, config=SolveConfig(max_iterations=1)).trajectory)
     for x in (first, second):
-        by_superlu = schur_complement(p, x, monkeypatch, np.inf)
-        by_sweep = schur_complement(p, x, monkeypatch, 0.0)
+        a11, a12, a21, a22 = condensed_blocks(p, x)
+        by_superlu = a21.toarray() - a22 @ spla.splu(a12.tocsc()).solve(a11.toarray())
+        by_sweep = schur_complement(p, x, monkeypatch)
         gap = np.abs(by_sweep - by_superlu).max() / np.abs(by_superlu).max()
         assert gap <= 1e-12
 
@@ -727,8 +718,20 @@ sweep_problems = pytest.mark.parametrize(
         (gaussian_line_problem, 2),
         (gaussian_grid_problem, None),
         (gaussian_grid_problem, 1),
+        (dumbbell_problem, None),
+        (lambda: dumbbell_problem(model=UPWIND), None),
+        (k8_problem, None),
     ],
-    ids=["1-d lattice", "1-d lattice M=1", "1-d lattice M=2", "2-d grid", "2-d grid M=1"],
+    ids=[
+        "1-d lattice",
+        "1-d lattice M=1",
+        "1-d lattice M=2",
+        "2-d grid",
+        "2-d grid M=1",
+        "dumbbell",
+        "dumbbell upwind",
+        "K8",
+    ],
 )
 
 
@@ -756,11 +759,11 @@ def test_schur_complement_same_in_narrow_panels(make, steps, monkeypatch):
     p = with_steps(make, steps)
     n1 = p.graph.node_count - 1
     x = pack(p, newton_solve(p, config=SolveConfig(max_iterations=1)).trajectory)
-    whole = schur_complement(p, x, monkeypatch, 0.0)
+    whole = schur_complement(p, x, monkeypatch)
     for columns in (n1 // 2 + 1, 2, 1):
         assert columns == 1 or n1 % columns  # a narrower last panel
         monkeypatch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 16 * n1 * columns)
-        assert np.array_equal(schur_complement(p, x, monkeypatch, 0.0), whole)
+        assert np.array_equal(schur_complement(p, x, monkeypatch), whole)
 
 
 def test_sweep_level_loop_allocates_nothing(monkeypatch):
@@ -917,38 +920,6 @@ def test_newton_matrix_follows_the_graph_stencil(side):
         assert jacobian.nnz / p.steps < 30 * g.node_count
 
 
-def sweeps(p, monkeypatch):
-    """Whether the condensed factor at p's initial guess forms K by the sweep."""
-    calls = []
-    sweep = graph_ot.newton._sweep_schur
-
-    def recording(*blocks):
-        calls.append(blocks)
-        return sweep(*blocks)
-
-    monkeypatch.setattr(graph_ot.newton, "_sweep_schur", recording)
-    _CondensedFactor(p, assemble_jacobian_analytic(p, default_initial_guess(p)))
-    return bool(calls)
-
-
-def test_size_rule_sides(monkeypatch):
-    # the sweep: the map and 2-d benchmark problems
-    line = lattice_1d_periodic(256, 1.0, 0.0)
-    assert sweeps(TransportProblem(line, *benchmark_1d_map_densities(line), 64), monkeypatch)
-    grid = lattice_2d_periodic(16, 16, 4.0, -1.0)
-    mu = gaussian_density_2d(grid, 10, 10, 0.5, 1.5, 1, 1e-4)
-    nu = gaussian_density_2d(grid, 10, 10, 1.5, 1.3, 1, 1e-4)
-    assert sweeps(TransportProblem(grid, mu, nu, 16), monkeypatch)
-    # SuperLU solves: small graphs at many levels
-    ten = random_connected_graph(10, 0.3, 0)
-    p = TransportProblem(ten, seeded_random_density(10, 1), uniform_density(10), 256)
-    assert not sweeps(p, monkeypatch)
-    p = TransportProblem(
-        dumbbell(4, 4), seeded_random_density(8, 0), seeded_random_density(8, 1), 128
-    )
-    assert not sweeps(p, monkeypatch)
-
-
 def doctored(p, row_level, col_level, field):
     """J at the initial guess with one more entry: the first velocity row of
     residual level ``row_level`` on node 2 of ``field`` at time level
@@ -971,15 +942,11 @@ def doctored(p, row_level, col_level, field):
         "A11 below the first level",
     ],
 )
-def test_sweep_rejects_other_block_patterns(row_level, col_level, field, monkeypatch):
+def test_sweep_rejects_other_block_patterns(row_level, col_level, field):
     p = dumbbell_problem(steps=4)
     matrix = doctored(p, row_level, col_level, field)
-    monkeypatch.setattr(graph_ot.newton, "_SWEEP_MIN_WORK", 0.0)
     with pytest.raises(ValueError, match="block lower bidiagonal"):
         _CondensedFactor(p, matrix)
-    # SuperLU solves take any A12 its factor can handle
-    monkeypatch.setattr(graph_ot.newton, "_SWEEP_MIN_WORK", np.inf)
-    _CondensedFactor(p, matrix)
 
 
 @pytest.mark.parametrize(
