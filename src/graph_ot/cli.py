@@ -16,7 +16,7 @@ import os
 import sys
 
 from .errors import GraphOTError
-from .newton import JACOBIAN_MODES, SolveConfig
+from .newton import SolveConfig
 from .scenarios import (
     EXIT_INPUT_ERROR,
     SCENARIOS,
@@ -44,6 +44,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
+class _LatticeSize(argparse.Action):
+    """Stores a lattice's (point count, length) as (int, float)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            setattr(namespace, self.dest, (int(values[0]), float(values[1])))
+        except ValueError:
+            raise argparse.ArgumentError(
+                self, f"expected an integer and a number, got {' '.join(values)}"
+            ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="graph-ot",
@@ -58,12 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
         graph.add_argument(
             "--lattice1d",
             nargs=2,
+            action=_LatticeSize,
             metavar=("N", "LEN"),
             help="periodic 1-d lattice: N points over length LEN",
         )
         graph.add_argument(
             "--lattice2d",
             nargs=2,
+            action=_LatticeSize,
             metavar=("N", "SIDE"),
             help="periodic N x N lattice over side SIDE",
         )
@@ -117,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--theta", choices=("mean", "upwind"), help="mobility model (default per scenario)"
         )
         solver.add_argument(
-            "--jacobian", choices=JACOBIAN_MODES, default=defaults.jacobian,
-            help=f"Jacobian mode (default {defaults.jacobian})",
-        )
-        solver.add_argument(
             "--tol", type=float, default=defaults.tolerance, metavar="EPS",
             help=f"residual tolerance (default {defaults.tolerance:g})",
         )
@@ -148,14 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
-    def pair(value, first=int, second=float):
-        return None if value is None else (first(value[0]), second(value[1]))
-
     return ScenarioSpec(
         scenario=args.scenario,
         graph_file=args.graph,
-        lattice1d=pair(args.lattice1d),
-        lattice2d=pair(args.lattice2d),
+        lattice1d=args.lattice1d,
+        lattice2d=args.lattice2d,
         dumbbell_sizes=tuple(args.dumbbell) if args.dumbbell else None,
         complete=args.complete,
         origin=args.origin,
@@ -172,7 +179,6 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
         normalize=args.normalize,
         steps=args.steps,
         theta=args.theta,
-        jacobian=args.jacobian,
         tolerance=args.tol,
         max_iterations=args.maxits,
         damping=args.damping,

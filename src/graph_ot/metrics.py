@@ -7,7 +7,6 @@ recovery against an analytic map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,30 +17,12 @@ from .mobility import Mobility
 from .system import Trajectory
 
 __all__ = [
-    "DistanceEstimates",
-    "distance_estimates",
     "w2_action",
     "w2_initial",
     "hamiltonian_drift",
     "effective_edges",
     "map_error_1d",
 ]
-
-
-@dataclass(frozen=True)
-class DistanceEstimates:
-    """Action estimator a, initial-kinetic estimator b, and w2 = sqrt(a).
-
-    For the exact geodesic a == b by energy conservation; the discrete
-    values agree to O(tau).
-    """
-
-    action_estimate: float
-    initial_kinetic_estimate: float
-
-    @property
-    def w2(self) -> float:
-        return float(np.sqrt(self.action_estimate))
 
 
 # the velocities of a diverged solve may overflow when squared; its status
@@ -78,15 +59,6 @@ def w2_initial(
 ) -> float:
     """Initial kinetic energy b = sum_edges theta(rho^1) (v^1)^2."""
     return float(_level_energy(trajectory, graph, model)[0])
-
-
-def distance_estimates(
-    trajectory: Trajectory, graph: WeightedGraph, model: Mobility
-) -> DistanceEstimates:
-    return DistanceEstimates(
-        w2_action(trajectory, graph, model),
-        w2_initial(trajectory, graph, model),
-    )
 
 
 @_diverged_quietly
@@ -141,35 +113,21 @@ def map_error_1d(
     trajectory: Trajectory,
     graph: WeightedGraph,
     exact_map: Callable[[np.ndarray], np.ndarray],
-    reconstruction: str = "forward",
 ) -> float:
     """Max-norm error of the recovered transport map on a periodic 1-d lattice.
 
-    The numerical map is T(x_i) = x_i + u_i with u_i the initial nodal
-    velocity; distances are measured with periodic wrap on the lattice
-    circumference.  ``reconstruction`` selects how the nodal velocity is
-    read off the incident edges:
-
-    - "forward": the velocity of the edge leaving node i in +x direction.
-      Edge velocities sit at midpoints, so this carries the O(dx/2 * |u'|)
-      offset of first-order map benchmarks.
-    - "average": mean of the two incident edge velocities (second-order
-      accurate in dx).
+    The numerical map is T(x_i) = x_i + u_i with u_i the initial velocity
+    of the edge leaving node i in +x direction; distances are measured with
+    periodic wrap on the lattice circumference.  Edge velocities sit at
+    midpoints, so u carries the O(dx/2 * |u'|) offset of first-order map
+    benchmarks.
     """
     geom = graph.geometry
     if not isinstance(geom, Lattice1D):
         raise NotA1DLatticeError("map recovery needs a periodic 1-d lattice")
-    if reconstruction not in ("forward", "average"):
-        raise ValueError(f"unknown reconstruction {reconstruction!r}")
-
-    forward = _forward_edge_velocities(trajectory, graph)
-    if reconstruction == "average":
-        u = 0.5 * (forward + np.roll(forward, 1))
-    else:
-        u = forward
 
     x = geom.coordinates()
-    mapped = x + u
+    mapped = x + _forward_edge_velocities(trajectory, graph)
     exact = np.asarray(exact_map(x), dtype=float)
     length = geom.length
     diff = np.abs(mapped - exact) % length

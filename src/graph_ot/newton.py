@@ -32,12 +32,6 @@ problem therefore builds one level's entries as a template, cached on the
 TransportProblem, with a sparse operator from five per-edge terms to the
 entry values.  Each assembly evaluates those terms for all M levels as
 (M, E) arrays and lays the levels out in CSR order in one vectorized pass.
-
-Two Jacobian modes are offered: exact analytic assembly, and forward
-differences of s -> R F(C s), evaluated from the potentials themselves,
-with the columns coloured by time level, at most 4(N-1) residual
-evaluations per Jacobian and nothing taken from the template.  Both solve
-through the same block elimination.
 """
 
 from __future__ import annotations
@@ -59,7 +53,6 @@ from .graph import WeightedGraph
 from .system import (
     TransportProblem,
     Trajectory,
-    _potential_residual,
     _split,
     assemble_residual,
     level_fields,
@@ -71,21 +64,14 @@ from .system import (
 __all__ = [
     "SolveConfig",
     "SolveReport",
-    "JACOBIAN_MODES",
     "default_initial_guess",
     "assemble_jacobian_analytic",
-    "assemble_jacobian_fd",
     "newton_solve",
     "check_cfl",
 ]
 
 logger = logging.getLogger(__name__)
 
-JACOBIAN_MODES = ("analytic", "fd")
-
-# base factor of the forward-difference step: unknown j moves by
-# _FD_STEP * (1 + |x_j|)
-_FD_STEP = 1e-7
 # a first-Jacobian reciprocal-condition estimate below this is logged
 _RCOND_WARN = 1e-12
 # the error-oriented damping gives up once its factor falls below this
@@ -106,7 +92,6 @@ class SolveConfig:
 
     tolerance: float = 1e-10
     max_iterations: int = 100
-    jacobian: str = "analytic"  # one of JACOBIAN_MODES
     damping: bool = False
 
     def __post_init__(self):
@@ -114,10 +99,6 @@ class SolveConfig:
             raise InputFormatError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise InputFormatError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.jacobian not in JACOBIAN_MODES:
-            raise InputFormatError(
-                f"jacobian must be one of {JACOBIAN_MODES}, got {self.jacobian!r}"
-            )
 
 
 @dataclass
@@ -177,14 +158,6 @@ def _from_potentials(problem: TransportProblem, s: np.ndarray) -> np.ndarray:
     full = np.hstack([potentials, np.zeros((len(potentials), 1))])
     velocities = tree.sqrt_weights * (full[:, tree.head] - full[:, tree.tail])
     return pack_fields(problem, interior, velocities)
-
-
-def _to_potentials(problem: TransportProblem, x: np.ndarray) -> np.ndarray:
-    """C^-1 x: the tree velocities of the unknowns replaced by potentials."""
-    interior, velocities = _split(problem, x)
-    n = problem.graph.node_count
-    potentials = problem.tree.recover_potential(velocities, base=n)[:, :-1]
-    return pack_fields(problem, interior, potentials)
 
 
 def _to_nodal_rows(problem: TransportProblem, residual: np.ndarray) -> np.ndarray:
@@ -388,59 +361,6 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
     indptr = np.concatenate([[0], np.cumsum(counts)])
     size = state_size(problem)
     return sp.csr_matrix((values[keep], cols[keep], indptr), shape=(size, size))
-
-
-def assemble_jacobian_fd(problem: TransportProblem, x: np.ndarray) -> sp.csr_matrix:
-    """Forward differences of the residual in potentials, coloured by time level.
-
-    The same Newton matrix J^ as ``assemble_jacobian_analytic``, at the
-    state x in the tree gauge: differences of s -> R F(C s) at s = C^-1 x,
-    evaluated by ``_potential_residual`` from s itself, so that each column
-    touches only the rows of its graph stencil.  Residual level l involves
-    only the unknowns of levels l and l+1, so one evaluation perturbs one
-    node of one field at every other time level and reads each perturbed
-    column off the two residual levels it touches: at most 4(N-1)
-    evaluations beyond the base residual.  The colouring uses no part of
-    the analytic template, so the result stays an independent check of it.
-    The step for unknown j is _FD_STEP * (1 + |s_j|); only nonzero
-    differences are stored.
-    """
-    m = problem.steps
-    n1 = problem.graph.node_count - 1
-    s = _to_potentials(problem, x)
-    base = _potential_residual(problem, s).reshape(m, 2, n1)
-    steps = _FD_STEP * (1.0 + np.abs(s))
-
-    # the column of each unknown by time level 1..M+1, field (potential,
-    # density) and node: S^1 first, and -1 marks the fixed endpoint densities
-    unknowns = np.arange(-n1, (2 * m + 1) * n1).reshape(m + 1, 2, n1)
-    unknowns[0] = [np.arange(n1), np.full(n1, -1)]
-    unknowns[m, 1] = -1
-    rows = np.arange(2 * m * n1).reshape(m, 2, n1)  # level, field, node
-    level = np.arange(m)
-
-    entries = []
-    for columns in (unknowns[:, 1], unknowns[:, 0]):
-        for parity in (0, 1):
-            # residual level l sees the perturbed one of levels l and l+1;
-            # where that is a fixed endpoint density its differences are zero
-            touched = columns[level + (level + parity) % 2]
-            for i in range(n1):
-                perturbed = columns[parity::2, i]
-                perturbed = perturbed[perturbed >= 0]
-                if not perturbed.size:
-                    continue
-                shifted = s.copy()
-                shifted[perturbed] += steps[perturbed]
-                diff = _potential_residual(problem, shifted).reshape(m, 2, n1) - base
-                col = touched[:, i]
-                vals = diff / steps[col][:, None, None]
-                nz = np.nonzero(vals)
-                entries.append((rows[nz], col[nz[0]], vals[nz]))
-
-    r, c, v = (np.concatenate(a) for a in zip(*entries))
-    size = state_size(problem)
-    return sp.csr_matrix((v, (r, c)), shape=(size, size))
 
 
 # -- linear algebra helpers --------------------------------------------------
@@ -744,7 +664,7 @@ def newton_solve(
     x0: np.ndarray | None = None,
     config: SolveConfig | None = None,
 ) -> SolveReport:
-    """Solve the discrete geodesic equations by (quasi-)Newton iteration.
+    """Solve the discrete geodesic equations by Newton iteration.
 
     ``x0`` defaults to ``default_initial_guess``; build another with
     ``pack_fields`` or ``pack``, which know the unknowns' layout.  Stops
@@ -794,10 +714,7 @@ def newton_solve(
             status = "max_iterations_exceeded"
             break
 
-        if config.jacobian == "fd":
-            matrix = assemble_jacobian_fd(problem, x)
-        else:
-            matrix = assemble_jacobian_analytic(problem, x)
+        matrix = assemble_jacobian_analytic(problem, x)
         try:
             lu = _CondensedFactor(problem, matrix)
         except SingularJacobianError:

@@ -104,7 +104,6 @@ class ScenarioSpec:
     normalize: bool = False
     steps: int | None = None
     theta: str | None = None
-    jacobian: str = SolveConfig.jacobian
     tolerance: float = SolveConfig.tolerance
     max_iterations: int = SolveConfig.max_iterations
     # None means the per-scenario default (see SCENARIOS)
@@ -365,7 +364,6 @@ def _solve_document(
             "steps": problem.steps,
             "tau": problem.tau,
             "theta": problem.model.kind,
-            "jacobian": spec.jacobian,
             "tolerance": spec.tolerance,
             "max_iterations": spec.max_iterations,
             "damping": damping,
@@ -693,12 +691,14 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
         "tree_source": tree_src,
     }
 
-    model = get_mobility(spec.theta if spec.theta is not None else scenario.theta)
+    try:
+        model = get_mobility(spec.theta if spec.theta is not None else scenario.theta)
+    except KeyError as exc:
+        raise InputFormatError(exc.args[0]) from None
     damping = scenario.damping if spec.damping is None else spec.damping
     config = SolveConfig(
         tolerance=spec.tolerance,
         max_iterations=spec.max_iterations,
-        jacobian=spec.jacobian,
         damping=damping,
     )
     steps = scenario.steps if spec.steps is None else spec.steps

@@ -24,9 +24,7 @@ so residual level l and the unknowns of levels l and l+1 are contiguous
 ranges, and the terminal density rows F_rho^M come last.  Only this module
 and the Newton matrix in ``graph_ot.newton`` depend on the order: build a
 state with ``pack_fields`` or ``pack`` and read it with ``unpack`` or
-``level_fields``.  ``_potential_residual`` evaluates the same equations in
-node potentials, in the same layout, for the Newton matrix's finite
-differences.
+``level_fields``.
 """
 
 from __future__ import annotations
@@ -366,65 +364,29 @@ def level_fields(
     return rho, vel, edge_vel
 
 
-def _density_rows_and_kinetic(
-    problem: TransportProblem, rho: np.ndarray, edge_velocities: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """F_rho (M, N-1) and the nodal kinetic sums G (M, N) of levels 1..M."""
-    g = problem.graph
-    m = problem.steps
-    cur_rho = rho[:m]
-    cur_v = edge_velocities[:m]
-    th = problem.model.theta_values(
-        cur_rho[:, g.tail], cur_rho[:, g.head], cur_v
-    )
-    flux = g.sqrt_weights * cur_v * th
-    div = (g.incidence @ flux.T).T
-    f_rho = rho[1:, : g.node_count - 1] - cur_rho[:, : g.node_count - 1]
-    f_rho = f_rho + problem.tau * div[:, : g.node_count - 1]
-    return f_rho, nodal_kinetic(g, cur_rho, cur_v, problem.model)
-
-
 def assemble_residual(problem: TransportProblem, x: np.ndarray) -> np.ndarray:
     """Full nonlinear residual F(x); zero exactly at a discrete geodesic.
 
     Defined for any real state: interior densities may leave the simplex
     during Newton iterations and the mobility is evaluated there as well.
     """
+    g = problem.graph
     tree = problem.tree
     m = problem.steps
+    n1 = g.node_count - 1
     rho, vel, edge_vel = level_fields(problem, x)
-    f_rho, kinetic = _density_rows_and_kinetic(problem, rho, edge_vel)
+    cur_rho = rho[:m]
+    cur_v = edge_vel[:m]
+    th = problem.model.theta_values(cur_rho[:, g.tail], cur_rho[:, g.head], cur_v)
+    flux = g.sqrt_weights * cur_v * th
+    div = (g.incidence @ flux.T).T
+    f_rho = rho[1:, :n1] - cur_rho[:, :n1] + problem.tau * div[:, :n1]
+    kinetic = nodal_kinetic(g, cur_rho, cur_v, problem.model)
     phi = 0.5 * problem.tau * tree.sqrt_weights * (
         kinetic[:, tree.head] - kinetic[:, tree.tail]
     )
     f_v = vel[1:] - vel[:m] + phi
     return np.stack([f_v, f_rho], axis=1).ravel()
-
-
-def _potential_residual(problem: TransportProblem, s: np.ndarray) -> np.ndarray:
-    """The residual in node potentials, evaluated from the potentials.
-
-    ``s`` is laid out as the unknowns, with the node potentials S^l of
-    nodes 1..N-1 in place of the tree velocities and node N's pinned to
-    zero, so edge e moves at sqrt(w_e) (S_head - S_tail).  The velocity
-    rows become the nodal rows S^{l+1} - S^l + (tau/2) (G - G_N); the
-    density rows are those of ``assemble_residual``.  In exact arithmetic
-    this is R F(C s) of ``graph_ot.newton``.  Evaluated from s, a change of
-    one potential leaves every row outside its graph stencil exactly as it
-    was, where the potentials recovered from the tree velocities C s would
-    spread rounding over whole subtrees.
-    """
-    g = problem.graph
-    m = problem.steps
-    interior, potentials = _split(problem, s)
-    rho = _full_densities(problem, interior)
-    full = np.hstack([potentials, np.zeros((m + 1, 1))])
-    edge_vel = g.sqrt_weights * (full[:, g.head] - full[:, g.tail])
-    f_rho, kinetic = _density_rows_and_kinetic(problem, rho, edge_vel)
-    nodal = potentials[1:] - potentials[:m] + 0.5 * problem.tau * (
-        kinetic[:, :-1] - kinetic[:, -1:]
-    )
-    return np.stack([nodal, f_rho], axis=1).ravel()
 
 
 def explicit_upwind_update(

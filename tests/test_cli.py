@@ -64,7 +64,7 @@ def test_spec_carries_solver_options(tmp_path):
     args = parser.parse_args(
         [
             "dumbbell", "--dumbbell", "4", "5", "--steps", "16", "--theta", "upwind",
-            "--jacobian", "fd", "--tol", "1e-8", "--maxits", "50",
+            "--tol", "1e-8", "--maxits", "50",
             "--no-damping", "--seed", "3", "--out", str(tmp_path / "x.json"),
         ]
     )
@@ -72,7 +72,6 @@ def test_spec_carries_solver_options(tmp_path):
     assert spec.dumbbell_sizes == (4, 5)
     assert spec.steps == 16
     assert spec.theta == "upwind"
-    assert spec.jacobian == "fd"
     assert spec.tolerance == 1e-8
     assert spec.max_iterations == 50
     assert spec.damping is False
@@ -92,7 +91,6 @@ def test_solver_defaults_come_from_solve_config(solve_args):
     defaults = SolveConfig()
     assert spec.tolerance == defaults.tolerance
     assert spec.max_iterations == defaults.max_iterations
-    assert spec.jacobian == defaults.jacobian
 
 
 # -- happy path -------------------------------------------------------------------
@@ -146,6 +144,21 @@ def test_unknown_scenario_is_usage_error(capsys):
 def test_bad_option_value_is_usage_error(capsys):
     assert main(["solve", "--steps", "eight"]) == 2
     assert "eight" in stderr_error(capsys)["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, values",
+    [
+        ("--lattice1d", ["16.5", "4.0"]),
+        ("--lattice1d", ["64", "abc"]),
+        ("--lattice2d", ["x", "4"]),
+    ],
+)
+def test_bad_lattice_size_is_usage_error(capsys, flag, values):
+    assert main(["benchmark-1d", flag, *values]) == 2
+    error = stderr_error(capsys)
+    assert error["exit_code"] == 2
+    assert flag in error["message"]
 
 
 @pytest.mark.parametrize(

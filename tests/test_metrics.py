@@ -3,14 +3,12 @@ import pytest
 
 from graph_ot import (
     ARITHMETIC_MEAN,
-    DistanceEstimates,
     LevelOutOfRangeError,
     NotA1DLatticeError,
     Trajectory,
     TransportProblem,
     UPWIND,
     build_from_edge_list,
-    distance_estimates,
     dumbbell,
     effective_edges,
     hamiltonian_drift,
@@ -64,13 +62,6 @@ def test_w2_action_ignores_final_level(two_node_graph):
     traj.edge_velocities[-1] = 100.0
     traj.tree_velocities[-1] = 100.0
     assert w2_action(traj, two_node_graph, ARITHMETIC_MEAN) == pytest.approx(0.08)
-
-
-def test_distance_estimates_bundle(two_node_graph):
-    traj = constant_two_node_trajectory(6)
-    est = distance_estimates(traj, two_node_graph, ARITHMETIC_MEAN)
-    assert est == DistanceEstimates(pytest.approx(0.08), pytest.approx(0.08))
-    assert est.w2 == pytest.approx(np.sqrt(est.action_estimate))
 
 
 def test_w2_action_upwind_uses_donor_density(two_node_graph):
@@ -186,20 +177,6 @@ def test_map_error_forward_reads_plus_x_edge():
     assert map_error_1d(traj, g, lambda q: q) == pytest.approx(0.08)
 
 
-def test_map_error_average_reconstruction():
-    g = lattice_1d_periodic(8, 1.0)
-    u = np.arange(1.0, 9.0) * 0.01
-    traj = lattice_trajectory(g, u)
-    averaged = 0.5 * (u + np.roll(u, 1))
-    x = g.geometry.coordinates()
-    err = map_error_1d(traj, g, lambda q: q, reconstruction="average")
-    assert err == pytest.approx(np.abs(averaged).max())
-    exact = x + averaged
-    assert (
-        map_error_1d(traj, g, lambda q: exact, reconstruction="average") < 1e-15
-    )
-
-
 def test_map_error_periodic_wrap():
     g = lattice_1d_periodic(10, 1.0)
     traj = lattice_trajectory(g, np.zeros(10))
@@ -215,10 +192,3 @@ def test_map_error_requires_lattice_geometry():
     traj = velocity_trajectory(g, 2, np.zeros(g.edge_count))
     with pytest.raises(NotA1DLatticeError):
         map_error_1d(traj, g, lambda x: x)
-
-
-def test_map_error_rejects_unknown_reconstruction():
-    g = lattice_1d_periodic(8, 1.0)
-    traj = lattice_trajectory(g, np.zeros(8))
-    with pytest.raises(ValueError):
-        map_error_1d(traj, g, lambda x: x, reconstruction="upstream")

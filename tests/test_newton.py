@@ -15,7 +15,6 @@ from graph_ot import (
     TransportProblem,
     UPWIND,
     assemble_jacobian_analytic,
-    assemble_jacobian_fd,
     assemble_residual,
     build_from_edge_list,
     check_cfl,
@@ -37,9 +36,13 @@ from graph_ot import (
     unpack,
 )
 from graph_ot.errors import SingularJacobianError
-from graph_ot.newton import _CondensedFactor, _correction
+from graph_ot.newton import _CondensedFactor, _correction, _from_potentials, _to_nodal_rows
 from graph_ot.scenarios import _FIVE_NODE_TREES
-from graph_ot.system import _potential_residual
+from graph_ot.system import _split
+
+# base factor of the forward-difference step: unknown j moves by
+# FD_STEP * (1 + |x_j|)
+FD_STEP = 1e-7
 
 
 def two_node_problem(model=ARITHMETIC_MEAN, steps=16):
@@ -65,7 +68,6 @@ def dumbbell_problem(model=ARITHMETIC_MEAN, steps=8):
         {"tolerance": float("nan")},
         {"tolerance": float("inf")},
         {"max_iterations": 0},
-        {"jacobian": "exact"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -77,7 +79,6 @@ def test_config_defaults():
     cfg = SolveConfig()
     assert cfg.tolerance == 1e-10
     assert cfg.max_iterations == 100
-    assert cfg.jacobian == "analytic"
     assert cfg.damping is False
 
 
@@ -214,7 +215,7 @@ def test_quadratic_convergence_tail():
     assert h[k + 1] < 0.1 * h[k]  # far better than linear contraction
 
 
-# -- jacobian modes -------------------------------------------------------------
+# -- Jacobian against differences -----------------------------------------------
 
 
 @pytest.mark.parametrize("model", [ARITHMETIC_MEAN, UPWIND])
@@ -227,7 +228,7 @@ def test_fd_jacobian_matches_analytic(model):
             # keep velocities away from the upwind switching set
             x = velocities_clear_of_zero(p, x)
         ja = assemble_jacobian_analytic(p, x).toarray()
-        jf = assemble_jacobian_fd(p, x).toarray()
+        jf = column_fd(p, x)
         scale = np.abs(ja).max()
         assert np.abs(ja - jf).max() <= 1e-5 * max(scale, 1.0)
 
@@ -544,7 +545,7 @@ def test_analytic_jacobian_matches_fd_edge_cases(make, ties):
             # tree velocity raise only its own edge, so compare R J C
             jf = in_potentials(p, tree_column_fd(p, x))
         else:
-            jf = assemble_jacobian_fd(p, x).toarray()
+            jf = column_fd(p, x)
         scale = max(float(np.abs(ja).max()), 1.0)
         assert np.abs(ja - jf).max() <= 1e-5 * scale
 
@@ -554,11 +555,10 @@ def test_level_layout_splits_j_without_reordering(make, ties):
     p = make()
     m, n1 = p.steps, p.graph.node_count - 1
     for x in edge_case_iterates(p, ties, count=2):
-        for matrix in (assemble_jacobian_analytic(p, x), assemble_jacobian_fd(p, x)):
-            # all rows but the terminal densities against all columns but v^1
-            a12 = matrix[:-n1, n1:]
-            assert sp.triu(a12, k=1).nnz == 0
-            assert np.all(a12.diagonal() != 0.0)
+        # all rows but the terminal densities against all columns but v^1
+        a12 = assemble_jacobian_analytic(p, x)[:-n1, n1:]
+        assert sp.triu(a12, k=1).nnz == 0
+        assert np.all(a12.diagonal() != 0.0)
     rng = np.random.Generator(np.random.PCG64(13))
     interior = rng.normal(size=(m - 1, n1))
     vel = rng.normal(size=(m + 1, n1))
@@ -575,7 +575,7 @@ def tree_column_fd(problem, x):
     base = assemble_residual(problem, x)
     jacobian = np.zeros((base.size, x.size))
     for j in range(x.size):
-        h = graph_ot.newton._FD_STEP * (1.0 + abs(x[j]))
+        h = FD_STEP * (1.0 + abs(x[j]))
         xp = x.copy()
         xp[j] += h
         jacobian[:, j] = (assemble_residual(problem, xp) - base) / h
@@ -583,37 +583,25 @@ def tree_column_fd(problem, x):
 
 
 def column_fd(problem, x):
-    """Plain forward differences of the residual in potentials at
-    s = C^-1 x, one column at a time."""
-    s = graph_ot.newton._to_potentials(problem, x)
-    base = _potential_residual(problem, s)
+    """Plain forward differences of the residual in potentials,
+    s -> R F(C s), at s = C^-1 x, one column at a time."""
+    interior, velocities = _split(problem, x)
+    n = problem.graph.node_count
+    potentials = problem.tree.recover_potential(velocities, base=n)[:, :-1]
+    s = pack_fields(problem, interior, potentials)
+
+    def residual(s):
+        state = _from_potentials(problem, s)
+        return _to_nodal_rows(problem, assemble_residual(problem, state))
+
+    base = residual(s)
     jacobian = np.zeros((base.size, s.size))
     for j in range(s.size):
-        h = graph_ot.newton._FD_STEP * (1.0 + abs(s[j]))
+        h = FD_STEP * (1.0 + abs(s[j]))
         shifted = s.copy()
         shifted[j] += h
-        jacobian[:, j] = (_potential_residual(problem, shifted) - base) / h
+        jacobian[:, j] = (residual(shifted) - base) / h
     return jacobian
-
-
-@edge_cases
-def test_time_coloured_fd_equals_column_fd(make, ties, monkeypatch):
-    p = make()
-    calls = []
-    residual = graph_ot.newton._potential_residual
-
-    def counting(problem, s):
-        calls.append(s)
-        return residual(problem, s)
-
-    for x in edge_case_iterates(p, ties, count=2):
-        with monkeypatch.context() as patch:
-            patch.setattr(graph_ot.newton, "_potential_residual", counting)
-            jf = assemble_jacobian_fd(p, x)
-        np.testing.assert_array_equal(jf.toarray(), column_fd(p, x))
-        assert not np.any(jf.data == 0.0)
-        assert 0 < len(calls) <= 4 * (p.graph.node_count - 1) + 1
-        calls.clear()
 
 
 @edge_cases
@@ -623,21 +611,21 @@ def test_condensed_factor_matches_full_lu(make, ties, monkeypatch):
     n1 = p.graph.node_count - 1
     rng = np.random.Generator(np.random.PCG64(12))
     for x in edge_case_iterates(p, ties, count=3):
-        for matrix in (assemble_jacobian_analytic(p, x), assemble_jacobian_fd(p, x)):
-            factors = [_CondensedFactor(p, matrix)]
-            with monkeypatch.context() as patch:
-                # K formed two columns at a time
-                patch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 32 * n1)
-                factors.append(_CondensedFactor(p, matrix))
-            full = spla.splu(matrix.tocsc())
-            for b in (rng.normal(size=size), rng.normal(size=(size, 3))):
-                for trans in ("N", "T"):
-                    want = full.solve(b, trans=trans)
-                    for factor in factors:
-                        got = factor.solve(b, trans=trans)
-                        assert got.shape == b.shape
-                        gap = np.linalg.norm(got - want) / np.linalg.norm(want)
-                        assert gap <= 1e-10, (trans, gap)
+        matrix = assemble_jacobian_analytic(p, x)
+        factors = [_CondensedFactor(p, matrix)]
+        with monkeypatch.context() as patch:
+            # K formed two columns at a time
+            patch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 32 * n1)
+            factors.append(_CondensedFactor(p, matrix))
+        full = spla.splu(matrix.tocsc())
+        for b in (rng.normal(size=size), rng.normal(size=(size, 3))):
+            for trans in ("N", "T"):
+                want = full.solve(b, trans=trans)
+                for factor in factors:
+                    got = factor.solve(b, trans=trans)
+                    assert got.shape == b.shape
+                    gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+                    assert gap <= 1e-10, (trans, gap)
 
 
 def schur_complement(p, x, monkeypatch):
@@ -883,7 +871,7 @@ def test_newton_matrix_is_gauge_independent(graph, trees, model):
             unpack(p, x).edge_velocities, potentials[:, graph.head] - potentials[:, graph.tail]
         )
         analytic.append(assemble_jacobian_analytic(p, x))
-        fd.append(assemble_jacobian_fd(p, x).toarray())
+        fd.append(column_fd(p, x))
     first = analytic[0]
     scale = max(float(np.abs(first.data).max()), 1.0)
     for ja, jf in zip(analytic[1:], fd[1:]):
@@ -1000,7 +988,7 @@ def test_splu_factors_only_the_triangular_block(monkeypatch):
     assert shapes == [(n1, n1)]
     shapes.clear()
     top = state_size(p) - n1
-    for config in (SolveConfig(), SolveConfig(jacobian="fd"), SolveConfig()):
+    for config in (SolveConfig(), SolveConfig()):
         report = newton_solve(p, config=config)
         assert report.converged
         assert shapes == [(top, top)] * report.iterations
@@ -1055,18 +1043,8 @@ def test_fd_jacobian_exact_on_linear_system():
     p = two_node_problem(steps=4)
     x = default_initial_guess(p)
     ja = assemble_jacobian_analytic(p, x).toarray()
-    jf = assemble_jacobian_fd(p, x).toarray()
+    jf = column_fd(p, x)
     np.testing.assert_allclose(jf, ja, atol=1e-8)
-
-
-def test_fd_solve_agrees_with_analytic():
-    p = dumbbell_problem()
-    ra = newton_solve(p, config=SolveConfig(jacobian="analytic"))
-    rf = newton_solve(p, config=SolveConfig(jacobian="fd"))
-    assert rf.converged
-    np.testing.assert_allclose(
-        pack(p, rf.trajectory), pack(p, ra.trajectory), atol=1e-9
-    )
 
 
 def test_damping_solves_standard_problem():

@@ -12,7 +12,6 @@ from graph_ot import SCENARIOS, InputFormatError, ScenarioSpec, run_scenario
 
 # fields every scenario copies from ScenarioSpec's own defaults
 COMMON = {
-    "jacobian": "analytic",
     "tolerance": 1e-10,
     "max_iterations": 1,
     "seed": 0,

@@ -203,6 +203,14 @@ def test_unknown_scenario():
         run_scenario(ScenarioSpec(scenario="teleport"))
 
 
+def test_unknown_mobility(tmp_path):
+    spec = ScenarioSpec("dumbbell", theta="harmonic", out=str(tmp_path / "a.json"))
+    match = r"unknown mobility 'harmonic'; choose from \['mean', 'upwind'\]"
+    with pytest.raises(InputFormatError, match=match):
+        run_scenario(spec)
+    assert not (tmp_path / "a.json").exists()
+
+
 def test_default_artifact_name(tmp_path, monkeypatch, triangle_file, density_files):
     monkeypatch.chdir(tmp_path)
     mu, nu = density_files
