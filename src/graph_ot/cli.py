@@ -14,9 +14,9 @@ import json
 import logging
 import os
 import sys
+from dataclasses import Field, fields
 
 from .errors import GraphOTError
-from .newton import SolveConfig
 from .scenarios import (
     EXIT_INPUT_ERROR,
     SCENARIOS,
@@ -44,149 +44,73 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
-class _LatticeSize(argparse.Action):
-    """Stores a lattice's (point count, length) as (int, float)."""
+class _Values(argparse.Action):
+    """Stores an option's values as a tuple, each converted by its type.
+
+    ``repeat`` appends each use's values to those already stored.
+    """
+
+    def __init__(self, option_strings, dest, types, repeat=False, **kwargs):
+        super().__init__(option_strings, dest, nargs=len(types), **kwargs)
+        self.types, self.repeat = types, repeat
 
     def __call__(self, parser, namespace, values, option_string=None):
-        try:
-            setattr(namespace, self.dest, (int(values[0]), float(values[1])))
-        except ValueError:
-            raise argparse.ArgumentError(
-                self, f"expected an integer and a number, got {' '.join(values)}"
-            ) from None
+        converted = []
+        for convert, value in zip(self.types, values):
+            try:
+                converted.append(convert(value))
+            except ValueError:
+                raise argparse.ArgumentError(
+                    self, f"invalid {convert.__name__} value: {value!r}"
+                ) from None
+        stored = getattr(namespace, self.dest) if self.repeat else ()
+        setattr(namespace, self.dest, (*stored, *converted))
+
+
+# the help group of each run of ScenarioSpec fields, keyed by its first field
+_GROUPS = {
+    "graph_file": "graph source (at most one)",
+    "mu_file": "endpoint densities (at most one source each)",
+    "steps": "solver",
+}
+
+
+def _add_option(group, spec_field: Field) -> None:
+    """Add the option a ScenarioSpec field's metadata states (see _option)."""
+    meta = spec_field.metadata
+    kind = meta["type"]
+    options = {"dest": spec_field.name, "default": spec_field.default, "help": meta["help"]}
+    if kind is bool:
+        tri_state = spec_field.default is None
+        options["action"] = argparse.BooleanOptionalAction if tri_state else "store_true"
+    elif isinstance(kind, tuple):
+        repeat = kind[-1] is Ellipsis
+        types = kind[:-1] if repeat else kind
+        options.update(action=_Values, types=types, repeat=repeat, metavar=meta["metavar"])
+    else:
+        options.update(type=kind, metavar=meta["metavar"], choices=meta["choices"])
+    group.add_argument(meta["flag"], **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per scenario, with one option per ScenarioSpec field."""
     parser = _Parser(
         prog="graph-ot",
         description="Wasserstein geodesics on weighted graphs.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="scenario")
-    defaults = SolveConfig()
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
-        graph = p.add_argument_group("graph source (at most one)")
-        graph.add_argument("--graph", metavar="FILE", help="edge list file (i,j,omega)")
-        graph.add_argument(
-            "--lattice1d",
-            nargs=2,
-            action=_LatticeSize,
-            metavar=("N", "LEN"),
-            help="periodic 1-d lattice: N points over length LEN",
-        )
-        graph.add_argument(
-            "--lattice2d",
-            nargs=2,
-            action=_LatticeSize,
-            metavar=("N", "SIDE"),
-            help="periodic N x N lattice over side SIDE",
-        )
-        graph.add_argument(
-            "--dumbbell",
-            nargs=2,
-            type=int,
-            metavar=("L", "R"),
-            help="two complete graphs joined by one bridge edge",
-        )
-        graph.add_argument("--complete", type=int, metavar="N", help="complete graph K_N")
-        graph.add_argument(
-            "--origin", type=float, metavar="X",
-            help="lattice origin coordinate (lattice graphs only)",
-        )
-
-        dens = p.add_argument_group("endpoint densities (at most one source each)")
-        dens.add_argument("--mu", metavar="FILE", help="initial density, one value per line")
-        dens.add_argument("--nu", metavar="FILE", help="final density, one value per line")
-        dens.add_argument(
-            "--mu-gauss1d", nargs=3, type=float, metavar=("A", "B", "R"),
-            help="initial density exp(-A(x-B)^2)+R, normalized",
-        )
-        dens.add_argument(
-            "--nu-gauss1d", nargs=3, type=float, metavar=("A", "B", "R"),
-            help="final density exp(-A(x-B)^2)+R, normalized",
-        )
-        dens.add_argument(
-            "--mu-gauss2d", nargs=6, type=float,
-            metavar=("A", "C", "B", "D", "W", "EPS"),
-            help="initial density W*exp(-A(x-B)^2-C(y-D)^2)+EPS, normalized",
-        )
-        dens.add_argument(
-            "--nu-gauss2d", nargs=6, type=float,
-            metavar=("A", "C", "B", "D", "W", "EPS"),
-            help="final density W*exp(-A(x-B)^2-C(y-D)^2)+EPS, normalized",
-        )
-        dens.add_argument("--mu-random", action="store_true", help="seeded random initial density")
-        dens.add_argument("--nu-random", action="store_true", help="seeded random final density")
-        dens.add_argument("--mu-uniform", action="store_true", help="uniform initial density")
-        dens.add_argument("--nu-uniform", action="store_true", help="uniform final density")
-        dens.add_argument(
-            "--normalize",
-            action="store_true",
-            help="rescale file densities to unit mass instead of rejecting them",
-        )
-
-        solver = p.add_argument_group("solver")
-        solver.add_argument("--steps", type=int, metavar="M", help="time intervals")
-        solver.add_argument(
-            "--theta", choices=("mean", "upwind"), help="mobility model (default per scenario)"
-        )
-        solver.add_argument(
-            "--tol", type=float, default=defaults.tolerance, metavar="EPS",
-            help=f"residual tolerance (default {defaults.tolerance:g})",
-        )
-        solver.add_argument(
-            "--maxits", type=int, default=defaults.max_iterations, metavar="K",
-            help=f"iteration cap (default {defaults.max_iterations})",
-        )
-        solver.add_argument(
-            "--damping",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="error-oriented damping of the Newton steps (default per scenario)",
-        )
-        solver.add_argument(
-            "--tree", action="append", metavar="FILE", default=[],
-            help="spanning tree file (repeatable for tree-compare)",
-        )
-        solver.add_argument(
-            "--threshold", type=float, metavar="T",
-            help="velocity threshold for effective-edge detection (recover-topology only)",
-        )
-        solver.add_argument("--seed", type=int, default=0, help="seed for generated inputs")
-        solver.add_argument("--out", metavar="FILE", help="artifact path (default graph_ot_<scenario>.json)")
+        for spec_field in fields(ScenarioSpec):
+            if spec_field.name in _GROUPS:
+                group = p.add_argument_group(_GROUPS[spec_field.name])
+            if spec_field.metadata:
+                _add_option(group, spec_field)
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
-    return ScenarioSpec(
-        scenario=args.scenario,
-        graph_file=args.graph,
-        lattice1d=args.lattice1d,
-        lattice2d=args.lattice2d,
-        dumbbell_sizes=tuple(args.dumbbell) if args.dumbbell else None,
-        complete=args.complete,
-        origin=args.origin,
-        mu_file=args.mu,
-        mu_gauss1d=tuple(args.mu_gauss1d) if args.mu_gauss1d else None,
-        mu_gauss2d=tuple(args.mu_gauss2d) if args.mu_gauss2d else None,
-        mu_random=args.mu_random,
-        mu_uniform=args.mu_uniform,
-        nu_file=args.nu,
-        nu_gauss1d=tuple(args.nu_gauss1d) if args.nu_gauss1d else None,
-        nu_gauss2d=tuple(args.nu_gauss2d) if args.nu_gauss2d else None,
-        nu_random=args.nu_random,
-        nu_uniform=args.nu_uniform,
-        normalize=args.normalize,
-        steps=args.steps,
-        theta=args.theta,
-        tolerance=args.tol,
-        max_iterations=args.maxits,
-        damping=args.damping,
-        tree_files=tuple(args.tree),
-        threshold=args.threshold,
-        seed=args.seed,
-        out=args.out,
-    )
+    return ScenarioSpec(**vars(args))
 
 
 def _configure_logging() -> None:

@@ -37,7 +37,6 @@ __all__ = [
     "dumbbell",
     "complete_graph",
     "read_edge_list",
-    "write_edge_list",
 ]
 
 
@@ -391,12 +390,3 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
     if not entries:
         raise InputFormatError(f"{path}: header but no edges")
     return build_from_edge_list(entries)
-
-
-def write_edge_list(graph: WeightedGraph, path: str | Path) -> None:
-    """Write a graph in the ``i,j,omega`` CSV edge-list format."""
-    path = Path(path)
-    rows = ["i,j,omega"]
-    for (i, j), w in zip(graph.edges, graph.weights):
-        rows.append(f"{i},{j},{float(w)!r}")
-    path.write_text("\n".join(rows) + "\n")

@@ -8,8 +8,8 @@ positivity preserving under a CFL bound.
 
 All methods broadcast over numpy arrays.  The ``*_values``/``*_partials``
 methods skip validation so the solver can evaluate residuals at iterates
-with negative interior densities; the module-level ``theta`` and
-``theta_partials`` validate their inputs.
+with negative interior densities; the module-level ``theta`` validates its
+inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "MOBILITIES",
     "get_mobility",
     "theta",
-    "theta_partials",
 ]
 
 
@@ -116,9 +115,3 @@ def theta(model: Mobility, rho_i, rho_j, v_ij=0.0):
     """Edge mobility value; validates nonnegativity of the densities."""
     _validate_nonnegative(rho_i, rho_j)
     return model.theta_values(rho_i, rho_j, v_ij)
-
-
-def theta_partials(model: Mobility, rho_i, rho_j, v_ij=0.0):
-    """Density partials of the mobility; validates nonnegativity."""
-    _validate_nonnegative(rho_i, rho_j)
-    return model.theta_density_partials(rho_i, rho_j, v_ij)

@@ -13,7 +13,7 @@ import itertools
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -42,7 +42,7 @@ from .generators import (
     uniform_density,
 )
 from .metrics import effective_edges, hamiltonian_drift, map_error_1d
-from .mobility import get_mobility
+from .mobility import MOBILITIES, get_mobility
 from .newton import SolveConfig, SolveReport, check_cfl, newton_solve
 from .system import TransportProblem, Trajectory
 from .tree import SpanningTree, read_tree_file
@@ -74,44 +74,103 @@ EXIT_NOT_CONVERGED = 3
 EXIT_INVARIANT_VIOLATION = 4
 
 
+def _option(default, flag: str, help: str, type=str, metavar=None, choices=None):
+    """A ScenarioSpec field and the command-line option that sets it.
+
+    ``type`` converts the option's one value.  A tuple of types takes one
+    value per type and stores them as a tuple; a trailing ``...`` makes the
+    option repeatable, each use appending its values.  ``bool`` makes a
+    switch, with a ``--no-`` form when the field defaults to None.
+    """
+    return field(
+        default=default,
+        metadata={"flag": flag, "help": help, "type": type, "metavar": metavar, "choices": choices},
+    )
+
+
+_GAUSS1D = ("A", "B", "R")
+_GAUSS2D = ("A", "C", "B", "D", "W", "EPS")
+_GAUSS2D_HELP = "density W*exp(-A(x-B)^2-C(y-D)^2)+EPS, normalized"
+
+
 @dataclass
 class ScenarioSpec:
-    """Everything needed to run one scenario.
+    """Everything needed to run one scenario, one field per run input.
 
-    Unset fields fall back to per-scenario defaults; at most one graph
-    source and one density source per endpoint may be set, and only sources
-    the scenario takes.  ``origin`` needs a lattice graph, given or default,
-    and ``threshold`` is read by recover-topology alone.
+    Each field but ``scenario`` carries, in its metadata, the command-line
+    option that sets it: flag, value types, metavar and help text; the CLI
+    parser is built from these.  Unset fields fall back to per-scenario
+    defaults (None and False mean unset); at most one graph source and one
+    density source per endpoint may be set, and only sources the scenario
+    takes.  ``origin`` needs a lattice graph, given or default, and
+    ``threshold`` is read by recover-topology alone.
     """
 
     scenario: str
-    graph_file: str | None = None
-    lattice1d: tuple[int, float] | None = None
-    lattice2d: tuple[int, float] | None = None
-    dumbbell_sizes: tuple[int, int] | None = None
-    complete: int | None = None
-    origin: float | None = None
-    mu_file: str | None = None
-    mu_gauss1d: tuple[float, float, float] | None = None
-    mu_gauss2d: tuple[float, float, float, float, float, float] | None = None
-    mu_random: bool = False
-    mu_uniform: bool = False
-    nu_file: str | None = None
-    nu_gauss1d: tuple[float, float, float] | None = None
-    nu_gauss2d: tuple[float, float, float, float, float, float] | None = None
-    nu_random: bool = False
-    nu_uniform: bool = False
-    normalize: bool = False
-    steps: int | None = None
-    theta: str | None = None
-    tolerance: float = SolveConfig.tolerance
-    max_iterations: int = SolveConfig.max_iterations
-    # None means the per-scenario default (see SCENARIOS)
-    damping: bool | None = None
-    tree_files: tuple[str, ...] = ()
-    threshold: float | None = None
-    seed: int = 0
-    out: str | None = None
+    graph_file: str | None = _option(None, "--graph", "edge list file (i,j,omega)", metavar="FILE")
+    lattice1d: tuple[int, float] | None = _option(
+        None, "--lattice1d", "periodic 1-d lattice: N points over length LEN",
+        (int, float), ("N", "LEN"),
+    )
+    lattice2d: tuple[int, float] | None = _option(
+        None, "--lattice2d", "periodic N x N lattice over side SIDE", (int, float), ("N", "SIDE")
+    )
+    dumbbell_sizes: tuple[int, int] | None = _option(
+        None, "--dumbbell", "two complete graphs joined by one bridge edge", (int, int), ("L", "R")
+    )
+    complete: int | None = _option(None, "--complete", "complete graph K_N", int, "N")
+    origin: float | None = _option(
+        None, "--origin", "lattice origin coordinate (lattice graphs only)", float, "X"
+    )
+    mu_file: str | None = _option(None, "--mu", "initial density, one value per line", metavar="FILE")
+    nu_file: str | None = _option(None, "--nu", "final density, one value per line", metavar="FILE")
+    mu_gauss1d: tuple[float, float, float] | None = _option(
+        None, "--mu-gauss1d", "initial density exp(-A(x-B)^2)+R, normalized", (float,) * 3, _GAUSS1D
+    )
+    nu_gauss1d: tuple[float, float, float] | None = _option(
+        None, "--nu-gauss1d", "final density exp(-A(x-B)^2)+R, normalized", (float,) * 3, _GAUSS1D
+    )
+    mu_gauss2d: tuple[float, float, float, float, float, float] | None = _option(
+        None, "--mu-gauss2d", f"initial {_GAUSS2D_HELP}", (float,) * 6, _GAUSS2D
+    )
+    nu_gauss2d: tuple[float, float, float, float, float, float] | None = _option(
+        None, "--nu-gauss2d", f"final {_GAUSS2D_HELP}", (float,) * 6, _GAUSS2D
+    )
+    mu_random: bool = _option(False, "--mu-random", "seeded random initial density", bool)
+    nu_random: bool = _option(False, "--nu-random", "seeded random final density", bool)
+    mu_uniform: bool = _option(False, "--mu-uniform", "uniform initial density", bool)
+    nu_uniform: bool = _option(False, "--nu-uniform", "uniform final density", bool)
+    normalize: bool = _option(
+        False, "--normalize", "rescale file densities to unit mass instead of rejecting them", bool
+    )
+    steps: int | None = _option(None, "--steps", "time intervals", int, "M")
+    theta: str | None = _option(
+        None, "--theta", "mobility model (default per scenario)", choices=tuple(MOBILITIES)
+    )
+    tolerance: float = _option(
+        SolveConfig.tolerance, "--tol", "residual tolerance (default %(default)g)", float, "EPS"
+    )
+    max_iterations: int = _option(
+        SolveConfig.max_iterations, "--maxits", "iteration cap (default %(default)s)", int, "K"
+    )
+    damping: bool | None = _option(
+        None, "--damping", "error-oriented damping of the Newton steps (default per scenario)", bool
+    )
+    tree_files: tuple[str, ...] = _option(
+        (), "--tree", "spanning tree file (repeatable for tree-compare)", (str, ...), "FILE"
+    )
+    threshold: float | None = _option(
+        None, "--threshold",
+        "velocity threshold for effective-edge detection (recover-topology only)", float, "T",
+    )
+    seed: int = _option(0, "--seed", "seed for generated inputs", int)
+    out: str | None = _option(
+        None, "--out", "artifact path (default graph_ot_<scenario>.json)", metavar="FILE"
+    )
+
+
+# the command-line flag of each ScenarioSpec field
+_FLAGS = {f.name: f.metadata["flag"] for f in fields(ScenarioSpec) if f.metadata}
 
 
 @dataclass
@@ -174,30 +233,12 @@ def read_density_file(
     if not normalize and abs(total - 1.0) > 1e-8:
         raise InvalidDensityError(
             f"{path}: mass {total!r} differs from 1 by more than 1e-8 "
-            f"(pass --normalize to rescale)"
+            f"(pass {_FLAGS['normalize']} to rescale)"
         )
     return rho / total
 
 
 # -- source resolution ---------------------------------------------------------
-
-# the CLI flag of each graph and density source field of ScenarioSpec
-_GRAPH_FLAGS = {
-    "graph_file": "--graph",
-    "lattice1d": "--lattice1d",
-    "lattice2d": "--lattice2d",
-    "dumbbell_sizes": "--dumbbell",
-    "complete": "--complete",
-}
-_DENSITY_FLAGS = {
-    f"{end}_{kind}": f"--{end}" if kind == "file" else f"--{end}-{kind}"
-    for end in ("mu", "nu")
-    for kind in ("file", "gauss1d", "gauss2d", "random", "uniform")
-}
-_SOURCE_FLAGS = {**_GRAPH_FLAGS, **_DENSITY_FLAGS}
-# every field a scenario may refuse: the sources and --threshold
-_REFUSABLE_FLAGS = {**_SOURCE_FLAGS, "threshold": "--threshold"}
-
 
 def _given(spec: ScenarioSpec, name: str) -> bool:
     value = getattr(spec, name)
@@ -226,25 +267,6 @@ def _complete(n) -> tuple[WeightedGraph, dict]:
     return complete_graph(int(n)), {"kind": "complete", "node_count": int(n)}
 
 
-def _resolve_graph(spec: ScenarioSpec, default) -> tuple[WeightedGraph, dict]:
-    """Build the user-selected graph, or the scenario's ``default(spec)``."""
-    if sum(_given(spec, name) for name in _GRAPH_FLAGS) > 1:
-        raise InputFormatError("give at most one graph source")
-    if spec.graph_file is not None:
-        return read_edge_list(spec.graph_file), {"kind": "file", "path": spec.graph_file}
-    if spec.lattice1d is not None:
-        return _lattice1d(*spec.lattice1d, _origin(spec, 0.0))
-    if spec.lattice2d is not None:
-        return _lattice2d(*spec.lattice2d, _origin(spec, 0.0))
-    if spec.dumbbell_sizes is not None:
-        return _dumbbell(*spec.dumbbell_sizes)
-    if spec.complete is not None:
-        return _complete(spec.complete)
-    if default is None:
-        raise InputFormatError(f"scenario {spec.scenario!r} needs a graph source")
-    return default(spec)
-
-
 def _gauss1d(graph: WeightedGraph, a, b, r) -> tuple[np.ndarray, dict]:
     return gaussian_density_1d(graph, a, b, r), {"kind": "gauss1d", "a": a, "b": b, "r": r}
 
@@ -264,33 +286,64 @@ def _uniform(graph: WeightedGraph) -> tuple[np.ndarray, dict]:
     return uniform_density(graph.node_count), {"kind": "uniform"}
 
 
+def _seeded(endpoint: str) -> Callable:
+    """``(spec, graph)`` to the endpoint's seeded random density and source block.
+
+    mu takes the seed and nu the next one, so the two draw from different
+    streams and differ.
+    """
+    return lambda spec, g: _random(g, spec.seed if endpoint == "mu" else spec.seed + 1)
+
+
+# One builder per source: ``(spec, value)`` to the graph and its source
+# block for each graph source field, ``(spec, graph, endpoint, value)`` to
+# the density and its block for each field ``<endpoint>_<kind>``.  Lambdas
+# look the graph functions up at call time (see _Scenario).
+_GRAPH_SOURCES = {
+    "graph_file": lambda spec, path: (read_edge_list(path), {"kind": "file", "path": path}),
+    "lattice1d": lambda spec, size: _lattice1d(*size, _origin(spec, 0.0)),
+    "lattice2d": lambda spec, size: _lattice2d(*size, _origin(spec, 0.0)),
+    "dumbbell_sizes": lambda spec, sizes: _dumbbell(*sizes),
+    "complete": lambda spec, n: _complete(n),
+}
+_DENSITY_SOURCES = {
+    "file": lambda spec, g, end, path: (
+        read_density_file(path, g.node_count, spec.normalize),
+        {"kind": "file", "path": path},
+    ),
+    "gauss1d": lambda spec, g, end, params: _gauss1d(g, *params),
+    "gauss2d": lambda spec, g, end, params: _gauss2d(g, *params),
+    "random": lambda spec, g, end, _: _seeded(end)(spec, g),
+    "uniform": lambda spec, g, end, _: _uniform(g),
+}
+_DENSITY_FIELDS = tuple(f"{end}_{kind}" for end in ("mu", "nu") for kind in _DENSITY_SOURCES)
+# every field a scenario may refuse: the sources and the threshold
+_REFUSABLE = (*_GRAPH_SOURCES, *_DENSITY_FIELDS, "threshold")
+
+
+def _resolve_graph(spec: ScenarioSpec, default) -> tuple[WeightedGraph, dict]:
+    """Build the user-selected graph, or the scenario's ``default(spec)``."""
+    given = [name for name in _GRAPH_SOURCES if _given(spec, name)]
+    if len(given) > 1:
+        raise InputFormatError("give at most one graph source")
+    if given:
+        return _GRAPH_SOURCES[given[0]](spec, getattr(spec, given[0]))
+    if default is None:
+        raise InputFormatError(f"scenario {spec.scenario!r} needs a graph source")
+    return default(spec)
+
+
 def _resolve_density(
     spec: ScenarioSpec, graph: WeightedGraph, endpoint: str
 ) -> tuple[np.ndarray | None, dict]:
     """Build one endpoint density from its selected source, or None."""
-    file_ = getattr(spec, f"{endpoint}_file")
-    gauss1d = getattr(spec, f"{endpoint}_gauss1d")
-    gauss2d = getattr(spec, f"{endpoint}_gauss2d")
-    random_ = getattr(spec, f"{endpoint}_random")
-    uniform = getattr(spec, f"{endpoint}_uniform")
-    sources = [file_ is not None, gauss1d is not None, gauss2d is not None, random_, uniform]
-    if sum(sources) > 1:
+    given = [kind for kind in _DENSITY_SOURCES if _given(spec, f"{endpoint}_{kind}")]
+    if len(given) > 1:
         raise InputFormatError(f"give at most one source for {endpoint}")
-    if file_ is not None:
-        return (
-            read_density_file(file_, graph.node_count, spec.normalize),
-            {"kind": "file", "path": file_},
-        )
-    if gauss1d is not None:
-        return _gauss1d(graph, *gauss1d)
-    if gauss2d is not None:
-        return _gauss2d(graph, *gauss2d)
-    if random_:
-        # mu and nu draw from different seeded streams so they differ
-        return _random(graph, spec.seed if endpoint == "mu" else spec.seed + 1)
-    if uniform:
-        return _uniform(graph)
-    return None, {}
+    if not given:
+        return None, {}
+    value = getattr(spec, f"{endpoint}_{given[0]}")
+    return _DENSITY_SOURCES[given[0]](spec, graph, endpoint, value)
 
 
 def _map_densities(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -312,11 +365,11 @@ def _resolve_trees(
             trees = [SpanningTree(graph, edges) for edges in _FIVE_NODE_TREES]
             return trees, {"kind": "five-node-default-trees"}
         raise InputFormatError(
-            f"{spec.scenario} on a custom graph needs at least one --tree file"
+            f"{spec.scenario} on a custom graph needs at least one {_FLAGS['tree_files']} file"
         )
     if len(paths) > 1:
         raise InputFormatError(
-            f"scenario {spec.scenario!r} accepts a single --tree"
+            f"scenario {spec.scenario!r} accepts a single {_FLAGS['tree_files']}"
         )
     if paths:
         return [read_tree_file(paths[0], graph)], {"kind": "file", "path": paths[0]}
@@ -566,16 +619,13 @@ class _Scenario:
     nu: Callable | None = None
     theta: str = "mean"
     damping: bool = False
-    # fields of _REFUSABLE_FLAGS the scenario takes: by default every source
-    takes: tuple[str, ...] = tuple(_SOURCE_FLAGS)
+    # fields of _REFUSABLE the scenario takes: by default every source
+    takes: tuple[str, ...] = (*_GRAPH_SOURCES, *_DENSITY_FIELDS)
     extras: Callable | None = None
     several_trees: bool = False
 
 
-_SEEDED_ENDPOINTS = dict(
-    mu=lambda spec, g: _random(g, spec.seed),
-    nu=lambda spec, g: _random(g, spec.seed + 1),
-)
+_SEEDED_ENDPOINTS = dict(mu=_seeded("mu"), nu=_seeded("nu"))
 
 SCENARIOS = {
     "solve": _Scenario(steps=32),
@@ -588,7 +638,7 @@ SCENARIOS = {
     ),
     "benchmark-2d": _Scenario(
         steps=16,
-        # desk-scale default; pass --lattice2d 64 4.0 for the full-size run
+        # desk-scale default; the README gives the full-size run
         graph=lambda spec: _lattice2d(16, 4.0, _origin(spec, -1.0)),
         mu=lambda spec, g: _gauss2d(g, 10.0, 10.0, 0.5, 1.5, 1.0, 1e-4),
         nu=lambda spec, g: _gauss2d(g, 10.0, 10.0, 1.5, 1.3, 1.0, 1e-4),
@@ -601,7 +651,7 @@ SCENARIOS = {
         graph=lambda spec: _lattice1d(128, 1.0, _origin(spec, 0.0)),
         mu=lambda spec, g: (_map_densities(g)[0], {"kind": "benchmark-map"}),
         nu=lambda spec, g: (_map_densities(g)[1], {"kind": "benchmark-map"}),
-        takes=tuple(_GRAPH_FLAGS),
+        takes=tuple(_GRAPH_SOURCES),
         extras=_map_benchmark_extras,
     ),
     "tree-compare": _Scenario(
@@ -615,14 +665,14 @@ SCENARIOS = {
         steps=128,
         graph=lambda spec: _dumbbell(4, 4),
         **_SEEDED_ENDPOINTS,
-        takes=("dumbbell_sizes", *_DENSITY_FLAGS),
+        takes=("dumbbell_sizes", *_DENSITY_FIELDS),
         extras=_dumbbell_extras,
     ),
     "recover-topology": _Scenario(
         steps=128,
         graph=lambda spec: _complete(10),
         **_SEEDED_ENDPOINTS,
-        takes=("complete", *_DENSITY_FLAGS, "threshold"),
+        takes=("complete", *_DENSITY_FIELDS, "threshold"),
         extras=_recover_topology_extras,
     ),
     "consensus": _Scenario(
@@ -666,19 +716,21 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
         raise InputFormatError(
             f"unknown scenario {spec.scenario!r}; choose from {sorted(SCENARIOS)}"
         ) from None
-    for name, flag in _REFUSABLE_FLAGS.items():
+    for name in _REFUSABLE:
         if _given(spec, name) and name not in scenario.takes:
-            raise InputFormatError(f"scenario {spec.scenario!r} does not accept {flag}")
+            raise InputFormatError(f"scenario {spec.scenario!r} does not accept {_FLAGS[name]}")
 
     graph, graph_src = _resolve_graph(spec, scenario.graph)
     if spec.origin is not None and graph_src["kind"] not in ("lattice1d", "lattice2d"):
         raise InputFormatError(
-            f"scenario {spec.scenario!r} does not accept --origin without a lattice"
+            f"scenario {spec.scenario!r} does not accept {_FLAGS['origin']} without a lattice"
         )
     mu, mu_src = _resolve_density(spec, graph, "mu")
     nu, nu_src = _resolve_density(spec, graph, "nu")
     if scenario.mu is None and (mu is None or nu is None):
-        raise InputFormatError(f"scenario {spec.scenario!r} needs both --mu and --nu sources")
+        raise InputFormatError(
+            f"scenario {spec.scenario!r} needs both {_FLAGS['mu_file']} and {_FLAGS['nu_file']} sources"
+        )
     if mu is None:
         mu, mu_src = scenario.mu(spec, graph)
     if nu is None:

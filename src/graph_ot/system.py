@@ -50,11 +50,8 @@ __all__ = [
     "pack",
     "unpack",
     "level_fields",
-    "recover_last_density",
     "divergence",
-    "hamiltonian",
     "nodal_kinetic",
-    "reduced_rhs",
     "assemble_residual",
     "explicit_upwind_update",
 ]
@@ -227,18 +224,6 @@ def unpack(problem: TransportProblem, x: np.ndarray) -> Trajectory:
     return Trajectory(times, rho, vel, edge_vel)
 
 
-def recover_last_density(partial: np.ndarray) -> np.ndarray:
-    """Append the mass-eliminated component 1 - sum(partial).
-
-    The result can have a negative last entry; positivity is monitored by
-    the solver report, not enforced here.
-    """
-    partial = np.asarray(partial, dtype=float)
-    if partial.ndim != 1:
-        raise DimensionMismatchError("expected a 1-d partial density vector")
-    return np.append(partial, 1.0 - partial.sum())
-
-
 # -- pointwise operators ----------------------------------------------------
 
 
@@ -267,29 +252,6 @@ def divergence(
     return graph.incidence @ (graph.sqrt_weights * v * th)
 
 
-def hamiltonian(
-    graph: WeightedGraph,
-    rho: np.ndarray,
-    v_edges: np.ndarray,
-    model: Mobility = ARITHMETIC_MEAN,
-) -> float:
-    """Kinetic energy (1/2) sum_edges theta * v^2 at one time level."""
-    rho = np.asarray(rho, dtype=float)
-    v = np.asarray(v_edges, dtype=float)
-    if rho.shape != (graph.node_count,):
-        raise DimensionMismatchError(
-            f"density must have shape ({graph.node_count},), got {rho.shape}"
-        )
-    if v.shape != (graph.edge_count,):
-        raise DimensionMismatchError(
-            f"edge velocities must have shape ({graph.edge_count},), got {v.shape}"
-        )
-    if np.any(rho < 0.0):
-        raise NegativeDensityError("hamiltonian needs nonnegative densities")
-    th = model.theta_values(rho[graph.tail], rho[graph.head], v)
-    return 0.5 * float(np.sum(th * v * v))
-
-
 def nodal_kinetic(
     graph: WeightedGraph,
     rho: np.ndarray,
@@ -313,30 +275,6 @@ def nodal_kinetic(
     flat_h = np.atleast_2d(v2 * p_head)
     out = (graph.tail_matrix @ flat_t.T + graph.head_matrix @ flat_h.T).T
     return out.reshape(rho.shape)
-
-
-def reduced_rhs(
-    problem: TransportProblem,
-    rho: np.ndarray,
-    tree_velocities: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (d rho_1..N-1 / dt, d v_tree / dt) at one state.
-
-    This is the right-hand side of the gauge-reduced geodesic system; the
-    discrete residuals are its explicit left-rectangle discretization.
-    """
-    g = problem.graph
-    tree = problem.tree
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (g.node_count,):
-        raise DimensionMismatchError(
-            f"density must have shape ({g.node_count},), got {rho.shape}"
-        )
-    v_edges = tree.expand_velocities(tree_velocities)
-    div = divergence(g, rho, v_edges, problem.model)
-    kinetic = nodal_kinetic(g, rho, v_edges, problem.model)
-    dv = -0.5 * tree.sqrt_weights * (kinetic[tree.head] - kinetic[tree.tail])
-    return -div[: g.node_count - 1], dv
 
 
 # -- residual assembly -------------------------------------------------------

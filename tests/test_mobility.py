@@ -10,7 +10,6 @@ from graph_ot import (
     UPWIND,
     get_mobility,
     theta,
-    theta_partials,
 )
 
 densities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -32,20 +31,18 @@ def test_upwind_zero_velocity_takes_tail():
 
 
 def test_mean_partials_are_halves():
-    assert theta_partials(ARITHMETIC_MEAN, 0.7, 0.1) == (0.5, 0.5)
+    assert ARITHMETIC_MEAN.theta_density_partials(0.7, 0.1, 0.0) == (0.5, 0.5)
 
 
 def test_upwind_partials_are_indicator():
-    assert theta_partials(UPWIND, 0.2, 0.4, 3.0) == (1.0, 0.0)
-    assert theta_partials(UPWIND, 0.2, 0.4, -3.0) == (0.0, 1.0)
-    assert theta_partials(UPWIND, 0.2, 0.4, 0.0) == (1.0, 0.0)
+    assert UPWIND.theta_density_partials(0.2, 0.4, 3.0) == (1.0, 0.0)
+    assert UPWIND.theta_density_partials(0.2, 0.4, -3.0) == (0.0, 1.0)
+    assert UPWIND.theta_density_partials(0.2, 0.4, 0.0) == (1.0, 0.0)
 
 
 def test_negative_density_rejected():
     with pytest.raises(NegativeDensityError):
         theta(ARITHMETIC_MEAN, -0.1, 0.4)
-    with pytest.raises(NegativeDensityError):
-        theta_partials(UPWIND, 0.1, -0.4, 1.0)
 
 
 def test_registry_names():
@@ -107,7 +104,7 @@ def test_mean_partials_match_central_differences(a, b):
     h = 1e-6
     da = (theta(ARITHMETIC_MEAN, a + h, b) - theta(ARITHMETIC_MEAN, a - h, b)) / (2 * h)
     db = (theta(ARITHMETIC_MEAN, a, b + h) - theta(ARITHMETIC_MEAN, a, b - h)) / (2 * h)
-    pa, pb = theta_partials(ARITHMETIC_MEAN, a, b)
+    pa, pb = ARITHMETIC_MEAN.theta_density_partials(a, b, 0.0)
     assert da == pytest.approx(pa, abs=1e-10)
     assert db == pytest.approx(pb, abs=1e-10)
 

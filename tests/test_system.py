@@ -16,14 +16,11 @@ from graph_ot import (
     divergence,
     dumbbell,
     explicit_upwind_update,
-    hamiltonian,
     kruskal,
     level_fields,
     pack,
     pack_fields,
     random_connected_graph,
-    recover_last_density,
-    reduced_rhs,
     seeded_random_density,
     state_size,
     unpack,
@@ -112,46 +109,6 @@ def test_divergence_sums_to_zero(n, seed):
         div = divergence(g, rho, v, model)
         flux_scale = np.abs(g.sqrt_weights * v).sum() + 1.0
         assert abs(div.sum()) <= 1e-14 * flux_scale
-
-
-def test_hamiltonian_example(two_node):
-    h = hamiltonian(two_node, np.array([0.5, 0.5]), np.array([1.0]), ARITHMETIC_MEAN)
-    assert h == pytest.approx(0.25)
-
-
-def test_hamiltonian_quadratic_in_velocity(two_node):
-    rho = np.array([0.3, 0.7])
-    h1 = hamiltonian(two_node, rho, np.array([1.0]), ARITHMETIC_MEAN)
-    h2 = hamiltonian(two_node, rho, np.array([2.0]), ARITHMETIC_MEAN)
-    assert h2 == pytest.approx(4.0 * h1)
-
-
-def test_hamiltonian_rejects_negative_density(two_node):
-    with pytest.raises(NegativeDensityError):
-        hamiltonian(two_node, np.array([-0.1, 1.1]), np.array([1.0]), ARITHMETIC_MEAN)
-
-
-def test_reduced_rhs_zero_velocity_is_stationary():
-    p = two_node_problem()
-    drho, dv = reduced_rhs(p, np.array([0.6, 0.4]), np.zeros(1))
-    np.testing.assert_array_equal(drho, [0.0])
-    np.testing.assert_array_equal(dv, [0.0])
-
-
-def test_reduced_rhs_two_node_example():
-    # mean mobility: the two bracketed sums in dv coincide, so dv = 0
-    p = two_node_problem()
-    drho, dv = reduced_rhs(p, np.array([0.6, 0.4]), np.array([1.0]))
-    np.testing.assert_allclose(drho, [-0.5])
-    np.testing.assert_allclose(dv, [0.0])
-
-
-def test_recover_last_density_examples():
-    np.testing.assert_allclose(
-        recover_last_density(np.array([0.25, 0.25, 0.25])), [0.25, 0.25, 0.25, 0.25]
-    )
-    np.testing.assert_allclose(recover_last_density(np.array([0.6, 0.5])), [0.6, 0.5, -0.1])
-    np.testing.assert_allclose(recover_last_density(np.array([1.0])), [1.0, 0.0])
 
 
 # -- residual -------------------------------------------------------------------
