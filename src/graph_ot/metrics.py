@@ -86,8 +86,20 @@ def effective_edges(
         raise LevelOutOfRangeError(
             f"level {level} outside 1..{trajectory.steps + 1}"
         )
-    v = trajectory.edge_velocities[level - 1]
-    return [graph.edges[e] for e in np.flatnonzero(np.abs(v) > threshold)]
+    velocities = trajectory.edge_velocities[level - 1 : level]
+    return [tuple(e) for e in _effective_edges_per_level(velocities, graph, threshold)[0]]
+
+
+def _effective_edges_per_level(
+    velocities: np.ndarray, graph: WeightedGraph, threshold: float
+) -> list[list[list[int]]]:
+    """Per row of ``velocities`` (levels by edges), the edges (i, j) whose
+    velocity magnitude strictly exceeds ``threshold``, as [i, j] lists.
+
+    One comparison over all levels; numpy converts each level's edges.
+    """
+    ends = np.column_stack([graph.tail, graph.head]) + 1
+    return [ends[above].tolist() for above in np.abs(velocities) > threshold]
 
 
 def _forward_edge_velocities(

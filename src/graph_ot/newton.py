@@ -11,7 +11,8 @@ are one contiguous lower triangular block, factored without fill; the
 (N-1) x (N-1) Schur complement on the first level is factored densely.
 That Schur complement is formed by a forward sweep over the time levels,
 one sparse x dense product per level, run by scipy's CSR kernel into two
-buffers that each factorization allocates once (see ``_CondensedFactor``).
+cache-sized column panels that each factorization allocates once (see
+``_CondensedFactor``).
 
 The state and the residual keep the spanning-tree gauge, but each Newton
 step is solved in node potentials S, node N's pinned to zero.  Tree edge f
@@ -186,17 +187,16 @@ class _JacobianTemplate:
     Residual level l (0-based) holds rows 2(N-1)l .. 2(N-1)(l+1) - 1, the
     nodal rows before F_rho.  Its entries lie in the same range of columns
     shifted back by N-1: the potentials and densities of time level l+1,
-    then those of level l+2.  So entry k sits in column
-    ``cols[k] + offsets[l]``, ``cols`` starting at -(N-1), with one
-    exception: the first level's potentials S^1 take columns 0..N-2, where
-    the fixed densities mu would be.  Entry k's value is ``constants[k]``
-    plus the level's edge terms times column k of ``operator``.  Entries
-    are sorted by row and column, so the levels laid out one after another
-    are in CSR order.
+    then those of level l+2, except that the first level's potentials S^1
+    take columns 0..N-2, where the fixed densities mu would be.  Entry k of
+    level l sits in column ``columns[l, k]``, held for all M levels in the
+    index dtype of the CSR matrix the assembly returns.  Entry k's value is
+    ``constants[k]`` plus the level's edge terms times column k of
+    ``operator``.  Entries are sorted by row and column, so the levels laid
+    out one after another are in CSR order.
     """
 
-    cols: np.ndarray
-    offsets: np.ndarray
+    columns: np.ndarray  # (M, entries)
     constants: np.ndarray
     operator: sp.csr_matrix  # (_EDGE_TERMS * E, entries)
     structural: np.ndarray  # stored even where the value is zero
@@ -310,9 +310,13 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
         ),
         shape=(_EDGE_TERMS * ne, entry.size),
     )
+    # the CSR index dtype of a matrix of this size with up to M x entries
+    largest = max(state_size(problem), m * entry.size)
+    index = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+    columns = cols.astype(index) + (2 * n1 * np.arange(m, dtype=index))[:, None]
+    columns[0, cols < 0] += n1  # S^1 takes the place of mu
     return _JacobianTemplate(
-        cols=cols,
-        offsets=2 * n1 * np.arange(m)[:, None],
+        columns=columns,
         constants=constants,
         operator=operator,
         structural=structural,
@@ -338,7 +342,6 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
     g = problem.graph
     model = problem.model
     m = problem.steps
-    n1 = g.node_count - 1
     sw = g.sqrt_weights
 
     rho, _, ve = level_fields(problem, x)
@@ -347,41 +350,56 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
     th = model.theta_values(rt, rh, v)
     p_tail, p_head = model.theta_density_partials(rt, rh, v)
     p_head_own = model.theta_density_partials(rh, rt, -v)[0]
-    terms = np.hstack(
-        [sw * v * p_tail, sw * v * p_head, sw * th, 2.0 * v * p_tail, 2.0 * v * p_head_own]
-    )
+    del rho, rt, rh
+    terms = np.empty((_EDGE_TERMS, g.edge_count, m))
+    terms[_FLUX_TAIL] = (sw * v * p_tail).T
+    terms[_FLUX_HEAD] = (sw * v * p_head).T
+    terms[_WEIGHT] = (sw * th).T
+    terms[_KIN_TAIL] = (2.0 * v * p_tail).T
+    terms[_KIN_HEAD] = (2.0 * v * p_head_own).T
+    del th, p_tail, p_head, p_head_own
 
-    values = t.constants + terms @ t.operator
-    keep = t.structural | (values != 0.0)
+    # operator^T times the terms laid out level-minor, which scipy's kernel
+    # reads as they stand: terms @ operator would first copy them
+    values = (t.operator.T @ terms.reshape(-1, m)).T
+    del terms
+    values += t.constants
+    keep = values != 0.0
+    keep |= t.structural
     keep[0, t.own_density] = False
     keep[-1, t.next_density] = False
-    cols = t.cols + t.offsets
-    cols[0, t.cols < 0] += n1  # S^1 takes the place of mu
     counts = np.add.reduceat(keep, t.row_starts, axis=1, dtype=np.intp)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indptr = np.zeros(counts.size + 1, dtype=t.columns.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    data = values[keep]
+    del values
+    indices = t.columns[keep]
+    del keep
     size = state_size(problem)
-    return sp.csr_matrix((values[keep], cols[keep], indptr), shape=(size, size))
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 # -- linear algebra helpers --------------------------------------------------
 
 
 # largest column panel of one level's 2(N-1) rows of A12^-1 A11 that the
-# level sweep holds at once while forming the Schur complement
-_SCHUR_CHUNK_BYTES = 32 * 2**20
+# level sweep holds at once while forming the Schur complement.  Timed at
+# 32x32, M=32, 2 MiB panels form K in 355 ms, against 352 ms at 1 MiB,
+# 367 ms at 512 KiB and 530 ms in one 16 MiB panel; at 64x64, M=16 in
+# 2.8-3.2 s, against 3.3-3.5 s at 1 MiB and 4.4 s at 32 MiB
+_SCHUR_CHUNK_BYTES = 2 * 2**20
 
 # LAPACK's LU without scipy.linalg.lu_factor's warning on a zero pivot
 _getrf = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
 
 
 def _level_blocks(a11: sp.csr_matrix, a12: sp.csr_matrix):
-    """The diagonal D of A12 and its strict lower part scaled by -D^-1.
+    """The strict lower part of A12, negated.
 
-    The lower part is one CSR triple (indptr, indices, data) in A12's index
-    dtype, each entry's column shifted into the level before its row's, so
-    that a level's rows are a slice of indptr against one level's columns.
-    Raises ValueError unless A12 and A11 have the pattern ``_sweep_schur``
-    needs.
+    One CSR triple (indptr, indices, data) in A12's index dtype, each
+    entry's column shifted into the level before its row's, so that a
+    level's rows are a slice of indptr against one level's columns.  Raises
+    ValueError unless A12 and A11 have the pattern ``_sweep_schur`` needs.
     """
     top, n1 = a11.shape
     width = 2 * n1
@@ -394,24 +412,27 @@ def _level_blocks(a11: sp.csr_matrix, a12: sp.csr_matrix):
     # off the diagonal, every entry must lie in the level before its row's
     valid = col // width + 1 == level
     valid |= on_diagonal
-    if a11.indptr[min(width, top)] != a11.nnz or not valid.all():
+    if (
+        a11.indptr[min(width, top)] != a11.nnz
+        or not valid.all()
+        or not np.array_equal(diagonal, np.arange(top))
+        or not (a12.data[on_diagonal] == 1.0).all()
+    ):
         raise ValueError(
             "the level sweep needs A12 block lower bidiagonal in time, with "
-            "diagonal matrices on its diagonal blocks, and A11 within the "
-            "rows of the first level"
+            "the identity on its diagonal, and A11 within the rows of the "
+            "first level"
         )
     del level, valid  # entry-sized; held on, they would set the sweep's peak
     below = np.logical_not(on_diagonal, out=on_diagonal)
-    count -= np.bincount(diagonal, minlength=top).astype(count.dtype)
+    count -= 1  # the diagonal entry of each row
     indptr = np.zeros(top + 1, dtype=col.dtype)
     np.cumsum(count, out=indptr[1:])
-    d = a12.diagonal()
     data = a12.data[below]
     np.negative(data, out=data)
-    data /= np.repeat(d, count)
     indices = col[below]
     indices %= width
-    return d, (indptr, indices, data)
+    return indptr, indices, data
 
 
 def _sweep_schur(
@@ -421,17 +442,18 @@ def _sweep_schur(
 
     Level k = 0, 1, ... holds rows and columns 2(N-1)k .. 2(N-1)(k+1) - 1
     of A12, N-1 of them at the last level.  A12 must be block lower
-    bidiagonal: a diagonal matrix D_k on each diagonal block and one
-    sub-diagonal block L_k per level; A11 must lie in the rows of level 0.
-    Any other pattern raises ValueError.  A zero in D makes A12 singular,
-    which its SuperLU factor has already reported.
+    bidiagonal: the identity on its diagonal, as the Newton matrix has it,
+    and one sub-diagonal block L_k per level; A11 must lie in the rows of
+    level 0.  Any other pattern raises ValueError.
 
-    Y_0 = D_0^-1 A11 and Y_k = -D_k^-1 L_k Y_{k-1}, one sparse x dense
-    product per level, and only the levels that A22 touches are multiplied
-    into K.  A column panel of Y moves between two buffers allocated once,
-    and each product runs scipy's CSR kernel ``csr_matvecs`` (Y += A X) on
-    slices of ``_level_blocks``' one CSR triple, so the loop over the
-    levels allocates nothing.  The negated columns of A22 accumulate into K
+    Y_0 = A11 and Y_k = -L_k Y_{k-1}, one sparse x dense product per level,
+    and only the levels that A22 touches are multiplied into K.  K is
+    formed in column panels of at most ``_SCHUR_CHUNK_BYTES`` per level,
+    which stay near the cache and bound the sweep's memory whatever the
+    graph.  A panel of Y moves between two buffers allocated once, and each
+    product runs scipy's CSR kernel ``csr_matvecs`` (Y += A X) on slices of
+    ``_level_blocks``' one CSR triple, so the loop over the levels
+    allocates nothing.  The negated columns of A22 accumulate into K
     from zero, or into one panel of K when K is formed in column chunks,
     and A21 is added last: each entry is the sum ``A21 - A22 @ Y`` would
     form, term by term in the same order, whenever A22 touches one level,
@@ -440,7 +462,7 @@ def _sweep_schur(
     top, n1 = a11.shape
     width = 2 * n1
     touched = np.unique(a22.indices // width).tolist()
-    d, (ptr, indices, data) = _level_blocks(a11, a12)
+    ptr, indices, data = _level_blocks(a11, a12)
     if not touched:
         return a21.toarray()
     a22_levels = {k: -a22[:, k * width : (k + 1) * width] for k in touched}
@@ -454,7 +476,6 @@ def _sweep_schur(
         c = min(chunk, n1 - j)
         first = y[: rows * c].reshape(rows, c)
         a11[:rows, j : j + c].toarray(out=first)
-        first /= d[:rows, None]
         target = panel[: n1 * c]
         target[:] = 0.0
         for k in range(touched[-1] + 1):
@@ -494,16 +515,24 @@ class _CondensedFactor:
     in time.  A12 is factored as it stands, without fill, and the
     (N-1) x (N-1) Schur complement K = A21 - A22 A12^-1 A11 densely.
 
+    SuperLU factors A12 in natural order with diagonal pivots, which keeps
+    the triangle, and with panel size 1.  Panels block the updates of a
+    column by the columns before it, and in a lower triangle no column
+    updates another, so the factor and its solves are bit for bit those of
+    the default panel size, without the panel workspace.  On the 1-d map
+    problem (n=256, M=64) that lowers one factorization's peak memory by
+    about 9 MB.
+
     ``_sweep_schur`` forms K by sweeping the time levels, one sparse x
-    dense product each, holding one level's 2(N-1) rows of A12^-1 A11.
-    Per factorization it forms K of the 1-d map problem (n=256, M=64) in
-    48 ms and of the 16x16 2-d benchmark in 19 ms, against 348 and 113 ms
-    by SuperLU solves with A12's factor on chunks of A11's columns (one
-    BLAS thread, shared 2-core VM, numpy 2.4, scipy 1.17).  It is level
-    with those solves on K10 and faster from the 32-node ring up.  Only on
-    sparse graphs of 10 nodes or fewer does its fixed cost per level make
-    it slower, by 1-2 ms, which no workload resolves, so it is the only
-    way K is formed.  A12's factor serves every solve.
+    dense product each, holding one level's 2(N-1) rows of a column panel
+    of A12^-1 A11.  Per factorization it forms K of the 1-d map problem
+    (n=256, M=64) in 48 ms and of the 16x16 2-d benchmark in 19 ms, against
+    348 and 113 ms by SuperLU solves with A12's factor on chunks of A11's
+    columns (one BLAS thread, shared 2-core VM, numpy 2.4, scipy 1.17).  It
+    is level with those solves on K10 and faster from the 32-node ring up.
+    Only on sparse graphs of 10 nodes or fewer does its fixed cost per
+    level make it slower, by 1-2 ms, which no workload resolves, so it is
+    the only way K is formed.  A12's factor serves every solve.
 
     An exactly zero column of K makes the matrix exactly singular and
     raises SingularJacobianError with rcond 0.  Any other zero pivot of K,
@@ -519,11 +548,13 @@ class _CondensedFactor:
         self.a11, a12 = matrix[:top, :n1], matrix[:top, n1:]
         a21, self.a22 = matrix[top:, :n1], matrix[top:, n1:]
         try:
-            # natural order with diagonal pivots keeps the triangle: no fill
+            # natural order with diagonal pivots keeps the triangle: no fill;
+            # a triangle has no column updates for a panel to block
             self.a12_lu = spla.splu(
                 a12.tocsc(),
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
+                panel_size=1,
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
@@ -714,6 +745,8 @@ def newton_solve(
             status = "max_iterations_exceeded"
             break
 
+        # one factor alive at a time: the last one and its matrix go first
+        lu = None
         matrix = assemble_jacobian_analytic(problem, x)
         try:
             lu = _CondensedFactor(problem, matrix)
@@ -724,6 +757,7 @@ def newton_solve(
             break
         if rcond is None:
             rcond = _rcond_estimate(matrix, lu)
+        del matrix  # the factor holds the blocks its solves need
 
         step = _correction(problem, lu, residual)
         lam = 1.0

@@ -41,7 +41,7 @@ from .generators import (
     seeded_random_density,
     uniform_density,
 )
-from .metrics import effective_edges, hamiltonian_drift, map_error_1d
+from .metrics import _effective_edges_per_level, hamiltonian_drift, map_error_1d
 from .mobility import MOBILITIES, get_mobility
 from .newton import SolveConfig, SolveReport, check_cfl, newton_solve
 from .system import TransportProblem, Trajectory
@@ -562,10 +562,9 @@ def _dumbbell_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
 def _recover_topology_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
     problem, report, _ = solves[0]
     threshold = spec.threshold if spec.threshold is not None else 1e-3
-    per_level = [
-        [list(e) for e in effective_edges(report.trajectory, problem.graph, level, threshold)]
-        for level in range(1, problem.steps + 2)
-    ]
+    per_level = _effective_edges_per_level(
+        report.trajectory.edge_velocities, problem.graph, threshold
+    )
     return {
         "threshold": threshold,
         "effective_edges_per_level": per_level,

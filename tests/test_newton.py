@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -558,7 +559,7 @@ def test_level_layout_splits_j_without_reordering(make, ties):
         # all rows but the terminal densities against all columns but v^1
         a12 = assemble_jacobian_analytic(p, x)[:-n1, n1:]
         assert sp.triu(a12, k=1).nnz == 0
-        assert np.all(a12.diagonal() != 0.0)
+        assert np.all(a12.diagonal() == 1.0)
     rng = np.random.Generator(np.random.PCG64(13))
     interior = rng.normal(size=(m - 1, n1))
     vel = rng.normal(size=(m + 1, n1))
@@ -820,6 +821,101 @@ def test_csr_matvecs_accumulates(index_dtype):
 
 
 @pytest.mark.parametrize(
+    "make", [gaussian_line_problem, gaussian_grid_problem], ids=["1-d lattice", "2-d grid"]
+)
+def test_triangular_factor_without_panels_solves_bitwise_alike(make, monkeypatch):
+    # A12 is factored with SuperLU's panel size 1: a lower triangle in
+    # natural order has no column updates for a panel to block, and its
+    # factor and solves are bit for bit those of the default panel size
+    calls = []
+    splu = spla.splu
+
+    def recording(matrix, **kwargs):
+        calls.append(kwargs)
+        return splu(matrix, **kwargs)
+
+    p = make()
+    x = pack(p, newton_solve(p, config=SolveConfig(max_iterations=1)).trajectory)
+    a12 = condensed_blocks(p, x)[1].tocsc()
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_ot.newton.spla, "splu", recording)
+        _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+    assert len(calls) == 1 and calls[0]["panel_size"] == 1
+    options = {k: v for k, v in calls[0].items() if k != "panel_size"}
+    lean, default = splu(a12, panel_size=1, **options), splu(a12, **options)
+    assert lean.nnz == default.nnz
+    for a, b in ((lean.L, default.L), (lean.U, default.U)):
+        assert (a != b).nnz == 0
+    rng = np.random.Generator(np.random.PCG64(17))
+    for columns in (None, 2, 3):
+        b = rng.normal(size=a12.shape[0] if columns is None else (a12.shape[0], columns))
+        for trans in ("N", "T"):
+            assert np.array_equal(lean.solve(b, trans=trans), default.solve(b, trans=trans))
+
+
+def lattice_2d_problem(side, steps):
+    g = lattice_2d_periodic(side, side, 4.0, -1.0)
+    mu = gaussian_density_2d(g, 10, 10, 0.5, 1.5, 1, 1e-4)
+    nu = gaussian_density_2d(g, 10, 10, 1.5, 1.3, 1, 1e-4)
+    return TransportProblem(g, mu, nu, steps)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lattice_2d_problem(16, 16),
+        lambda: TransportProblem(
+            complete_graph(30), seeded_random_density(30, 1), seeded_random_density(30, 2), 32
+        ),
+    ],
+    ids=["16x16 grid", "K30"],
+)
+def test_assembly_peak_stays_near_the_matrix(make):
+    # at the initial guess, where most entries are zero and dropped, and
+    # after a step, the assembly allocates at most 2.5 times the bytes of
+    # the J^ it returns, that J^ included
+    p = make()
+    first = default_initial_guess(p)
+    second = pack(p, newton_solve(p, config=SolveConfig(max_iterations=1)).trajectory)
+    for x in (first, second):
+        assemble_jacobian_analytic(p, x)  # the template, built once per problem
+        tracemalloc.start()
+        try:
+            jacobian = assemble_jacobian_analytic(p, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = jacobian.data.nbytes + jacobian.indices.nbytes + jacobian.indptr.nbytes
+        assert peak <= 2.5 * held, peak / held
+
+
+@pytest.mark.parametrize("damping", [False, True], ids=["undamped", "damped"])
+def test_newton_solve_holds_one_factor_at_a_time(damping, monkeypatch):
+    # the last iteration's factor and matrix are gone before the next
+    # matrix is assembled
+    factors, matrices = [], []
+    assemble = graph_ot.newton.assemble_jacobian_analytic
+
+    def recording_assembly(problem, x):
+        assert all(ref() is None for ref in factors + matrices)
+        matrix = assemble(problem, x)
+        matrices.append(weakref.ref(matrix))
+        return matrix
+
+    class RecordingFactor(_CondensedFactor):
+        def __init__(self, problem, matrix):
+            assert all(ref() is None for ref in factors)
+            super().__init__(problem, matrix)
+            factors.append(weakref.ref(self))
+
+    monkeypatch.setattr(graph_ot.newton, "assemble_jacobian_analytic", recording_assembly)
+    monkeypatch.setattr(graph_ot.newton, "_CondensedFactor", RecordingFactor)
+    report = newton_solve(dumbbell_problem(), config=SolveConfig(damping=damping))
+    assert report.converged and report.iterations >= 3
+    assert len(factors) == len(matrices) == report.iterations
+
+
+@pytest.mark.parametrize(
     "make, ties",
     EDGE_CASES + [(gaussian_grid_problem, False)],
     ids=EDGE_IDS + ["6x6 periodic grid"],
@@ -908,31 +1004,33 @@ def test_newton_matrix_follows_the_graph_stencil(side):
         assert jacobian.nnz / p.steps < 30 * g.node_count
 
 
-def doctored(p, row_level, col_level, field):
-    """J at the initial guess with one more entry: the first velocity row of
-    residual level ``row_level`` on node 2 of ``field`` at time level
-    ``col_level`` (both 1-based).  Residual level l should touch only time
-    levels l and l+1."""
+def doctored(p, row_level, col_level, field, node=2):
+    """J at the initial guess with one entry set to 0.25: the first velocity
+    row of residual level ``row_level`` on ``node`` of ``field`` at time
+    level ``col_level`` (both 1-based).  Residual level l should touch only
+    time levels l and l+1, and its first row has the diagonal entry 1 on
+    node 1 of the velocities at level l+1."""
     rho_cols, v_cols, _, v_rows = positions(p)
-    col = (rho_cols if field == "rho" else v_cols)[col_level - 1, 1]
+    col = (rho_cols if field == "rho" else v_cols)[col_level - 1, node - 1]
     j = assemble_jacobian_analytic(p, default_initial_guess(p)).tolil()
     j[v_rows[row_level - 1, 0], col] = 0.25
     return j.tocsr()
 
 
 @pytest.mark.parametrize(
-    "row_level, col_level, field",
-    [(2, 3, "rho"), (3, 2, "v"), (2, 4, "v"), (2, 1, "v")],
+    "row_level, col_level, field, node",
+    [(2, 3, "rho", 2), (3, 2, "v", 2), (2, 4, "v", 2), (2, 1, "v", 2), (2, 3, "v", 1)],
     ids=[
         "off-diagonal in a diagonal block",
         "two levels back",
         "above the diagonal",
         "A11 below the first level",
+        "non-unit diagonal",
     ],
 )
-def test_sweep_rejects_other_block_patterns(row_level, col_level, field):
+def test_sweep_rejects_other_block_patterns(row_level, col_level, field, node):
     p = dumbbell_problem(steps=4)
-    matrix = doctored(p, row_level, col_level, field)
+    matrix = doctored(p, row_level, col_level, field, node)
     with pytest.raises(ValueError, match="block lower bidiagonal"):
         _CondensedFactor(p, matrix)
 
