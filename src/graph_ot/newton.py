@@ -77,6 +77,12 @@ logger = logging.getLogger(__name__)
 _RCOND_WARN = 1e-12
 # the error-oriented damping gives up once its factor falls below this
 _LAMBDA_MIN = 1e-8
+# a full step whose contraction |dxbar| / |dx| is below this keeps its factor
+# for the next step.  Higher, the linear steps of a kept factor cost more
+# than the factorizations they save: at 0.25 recover-topology takes 13
+# steps where 0.1 takes 5, with 2 factorizations each.  Lower saves none:
+# at 0.05 check-cfl factors 5 times where 0.1 factors 4
+_THETA_MAX = 0.1
 
 
 @dataclass
@@ -88,7 +94,8 @@ class SolveConfig:
     J(x)^-1 F(x + lambda dx), solved with the factor of the step, is shorter
     than (1 - lambda/4) |dx|, lambda being predicted from the last step and
     corrected after each rejected trial (see ``newton_solve``).  Plain
-    Newton when off.
+    Newton when off.  ``max_iterations`` caps the accepted steps, those
+    taken with a reused factor included.
     """
 
     tolerance: float = 1e-10
@@ -129,6 +136,7 @@ class SolveReport:
     iterations: int
     residual_history: np.ndarray
     damping_factors: np.ndarray
+    jacobian_refreshed: np.ndarray
     positivity_ok: bool
     cfl_margin: float
     w2_action: float
@@ -616,6 +624,8 @@ def _rcond_estimate(matrix: sp.csr_matrix, lu: _CondensedFactor) -> float | None
             matvec=lu.solve,
             matmat=lu.solve,
             rmatvec=lambda b: lu.solve(b, trans="T"),
+            # one block solve per transposed product, not one per column
+            rmatmat=lambda b: lu.solve(b, trans="T"),
             dtype=float,
         )
         # onenormest draws its start vectors from numpy's global generator;
@@ -651,6 +661,14 @@ def _correction(
 ) -> np.ndarray:
     """-J^-1 F with J's factor, solved in potentials: C J^-1 (-R F)."""
     return _from_potentials(problem, lu.solve(_to_nodal_rows(problem, -residual)))
+
+
+def _contraction(step: np.ndarray, simplified: np.ndarray) -> tuple[float, float]:
+    """|step| and the contraction |simplified| / |step|, NaN or inf once
+    either has overflowed."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step_norm = np.linalg.norm(step)
+        return step_norm, np.linalg.norm(simplified) / step_norm
 
 
 def _damped_step(
@@ -713,6 +731,22 @@ def newton_solve(
     1.  Trials are then checked and corrected by ``_damped_step``.  A
     predicted factor below ``_LAMBDA_MIN`` also ends the solve with
     "line_search_failed".
+
+    A factor is kept while the iteration contracts fast (simplified Newton,
+    Deuflhard 2004, ch. 2; Kelley, *Iterative Methods for Linear and
+    Nonlinear Equations*, SIAM 1995, the Shamanskii method).  After every
+    full step (lambda = 1) the solver holds the simplified correction
+    dxbar = -J(x_k)^-1 F(x_k+1), solved with its factor: the damped path
+    has it from its test, and the undamped path solves for it.  If the
+    contraction theta = |dxbar| / |dx| is below ``_THETA_MAX``, the next
+    step is dxbar itself, and nothing is assembled or factored.  That step
+    is accepted only if it passes the monotonicity test at lambda = 1: its
+    own simplified correction, with the same factor, must be shorter than
+    3/4 of it, and it then serves as the next step in turn while its
+    contraction stays below ``_THETA_MAX``.  A step that fails the test is
+    rejected: the solver keeps x, refactors there and takes a Newton step,
+    damped as above with the prediction from the last accepted step.  One
+    factor is alive at a time, and the rcond estimate is that of the first.
     """
     if config is None:
         config = SolveConfig()
@@ -728,11 +762,13 @@ def newton_solve(
     residual, norm = _residual(problem, x)
     history = [norm]
     factors: list[float] = []
+    refreshed: list[bool] = []
     iterations = 0
     rcond: float | None = None
-    # the last accepted damped step: its length lambda |dx| and the
-    # simplified correction of its trial
+    # the last accepted step: its length lambda |dx| and its simplified
+    # correction, the next step while the held factor is kept
     previous = None
+    keep_factor = False
 
     while True:
         if not np.isfinite(history[-1]):
@@ -745,41 +781,61 @@ def newton_solve(
             status = "max_iterations_exceeded"
             break
 
-        # one factor alive at a time: the last one and its matrix go first
-        lu = None
-        matrix = assemble_jacobian_analytic(problem, x)
-        try:
-            lu = _CondensedFactor(problem, matrix)
-        except SingularJacobianError:
-            status = "singular_jacobian"
-            if rcond is None:
-                rcond = 0.0
-            break
-        if rcond is None:
-            rcond = _rcond_estimate(matrix, lu)
-        del matrix  # the factor holds the blocks its solves need
-
-        step = _correction(problem, lu, residual)
-        lam = 1.0
-        if config.damping:
-            if previous is not None:
-                last_length, simplified = previous
-                gap = np.linalg.norm(simplified - step) * np.linalg.norm(step)
-                if gap > 0.0:
-                    lam = min(1.0, last_length * np.linalg.norm(simplified) / gap)
-            accepted = _damped_step(problem, lu, x, step, lam)
-            if accepted is None:
-                # no acceptable damping factor: keep the last iterate
-                status = "line_search_failed"
+        fresh = not keep_factor
+        if keep_factor:
+            # a simplified-Newton step with the held factor, accepted only
+            # if it passes the monotonicity test at lambda = 1
+            step = previous[1]
+            trial = x + step
+            trial_residual, trial_norm = _residual(problem, trial)
+            with np.errstate(over="ignore", invalid="ignore"):
+                simplified = _correction(problem, lu, trial_residual)
+            step_norm, theta = _contraction(step, simplified)
+            if theta < 0.75:
+                lam, x, residual, norm = 1.0, trial, trial_residual, trial_norm
+            else:
+                fresh = True  # rejected: refactor at x
+        if fresh:
+            # one factor alive at a time: the last one and its matrix go first
+            lu = None
+            matrix = assemble_jacobian_analytic(problem, x)
+            try:
+                lu = _CondensedFactor(problem, matrix)
+            except SingularJacobianError:
+                status = "singular_jacobian"
+                if rcond is None:
+                    rcond = 0.0
                 break
-            lam, x, residual, norm, simplified = accepted
-            previous = (lam * np.linalg.norm(step), simplified)
-        else:
-            x = x + step
-            residual, norm = _residual(problem, x)
+            if rcond is None:
+                rcond = _rcond_estimate(matrix, lu)
+            del matrix  # the factor holds the blocks its solves need
+
+            step = _correction(problem, lu, residual)
+            lam = 1.0
+            if config.damping:
+                if previous is not None:
+                    last_length, simplified = previous
+                    gap = np.linalg.norm(simplified - step) * np.linalg.norm(step)
+                    if gap > 0.0:
+                        lam = min(1.0, last_length * np.linalg.norm(simplified) / gap)
+                accepted = _damped_step(problem, lu, x, step, lam)
+                if accepted is None:
+                    # no acceptable damping factor: keep the last iterate
+                    status = "line_search_failed"
+                    break
+                lam, x, residual, norm, simplified = accepted
+            else:
+                x = x + step
+                residual, norm = _residual(problem, x)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    simplified = _correction(problem, lu, residual)
+            step_norm, theta = _contraction(step, simplified)
+        previous = (lam * step_norm, simplified)
+        keep_factor = lam == 1.0 and theta < _THETA_MAX
         iterations += 1
         history.append(norm)
         factors.append(lam)
+        refreshed.append(fresh)
 
     if rcond is not None and rcond < _RCOND_WARN:
         logger.warning(
@@ -800,6 +856,7 @@ def newton_solve(
         iterations=iterations,
         residual_history=np.array(history),
         damping_factors=np.array(factors),
+        jacobian_refreshed=np.array(refreshed, dtype=bool),
         positivity_ok=bool(trajectory.densities.min() >= 0.0),
         cfl_margin=float(margins.min()),
         w2_action=metrics.w2_action(trajectory, problem.graph, problem.model),

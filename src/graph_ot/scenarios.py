@@ -439,6 +439,7 @@ def _solve_document(
             "iterations": report.iterations,
             "residual_history": report.residual_history.tolist(),
             "damping_factors": report.damping_factors.tolist(),
+            "jacobian_refreshed": report.jacobian_refreshed.tolist(),
             "positivity_ok": report.positivity_ok,
             "cfl_margin": report.cfl_margin,
             "jacobian_rcond": report.jacobian_rcond,
@@ -525,6 +526,7 @@ def _tree_compare_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> di
             "w2_action": report.w2_action,
             "w2_initial": report.w2_initial,
             "iterations": report.iterations,
+            "jacobian_refreshed": report.jacobian_refreshed.tolist(),
             "converged": report.converged,
             "wall_time_seconds": wall_time,
         }

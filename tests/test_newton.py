@@ -17,6 +17,7 @@ from graph_ot import (
     UPWIND,
     assemble_jacobian_analytic,
     assemble_residual,
+    benchmark_1d_map_densities,
     build_from_edge_list,
     check_cfl,
     complete_graph,
@@ -424,21 +425,15 @@ def in_potentials(p, jacobian):
     return r @ jacobian @ c
 
 
-def solver_iterates(problem, **config):
-    """Every iterate at which newton_solve assembles a Jacobian."""
-    seen = []
-    assemble = graph_ot.newton.assemble_jacobian_analytic
-
-    def record(p, x):
-        seen.append(np.array(x))
-        return assemble(p, x)
-
-    graph_ot.newton.assemble_jacobian_analytic = record
-    try:
-        newton_solve(problem, config=SolveConfig(**config))
-    finally:
-        graph_ot.newton.assemble_jacobian_analytic = assemble
-    return seen
+def capped_iterates(p, report, config):
+    """The initial guess and the final iterates of ``config``'s solve capped
+    at k = 1, ..., ``report.iterations`` steps: the solve's accepted iterates."""
+    iterates = [default_initial_guess(p)]
+    for k in range(1, report.iterations + 1):
+        capped = SolveConfig(damping=config.damping, tolerance=config.tolerance, max_iterations=k)
+        iterates.append(pack(p, newton_solve(p, config=capped).trajectory))
+    np.testing.assert_array_equal(iterates[-1], pack(p, report.trajectory))
+    return iterates
 
 
 def ring_problem(model=ARITHMETIC_MEAN, steps=6):
@@ -470,7 +465,8 @@ def k8_problem(model=ARITHMETIC_MEAN, steps=4):
 )
 def test_analytic_jacobian_stores_the_loop_pattern(make, model):
     p = make(model=model)
-    iterates = solver_iterates(p, max_iterations=6)
+    config = SolveConfig(max_iterations=5)
+    iterates = capped_iterates(p, newton_solve(p, config=config), config)
     assert len(iterates) >= 3
     for x in iterates:
         ref = stencil_jacobian(p, x)
@@ -912,7 +908,7 @@ def test_newton_solve_holds_one_factor_at_a_time(damping, monkeypatch):
     monkeypatch.setattr(graph_ot.newton, "_CondensedFactor", RecordingFactor)
     report = newton_solve(dumbbell_problem(), config=SolveConfig(damping=damping))
     assert report.converged and report.iterations >= 3
-    assert len(factors) == len(matrices) == report.iterations
+    assert len(factors) == len(matrices) == report.jacobian_refreshed.sum() >= 2
 
 
 @pytest.mark.parametrize(
@@ -1089,7 +1085,7 @@ def test_splu_factors_only_the_triangular_block(monkeypatch):
     for config in (SolveConfig(), SolveConfig()):
         report = newton_solve(p, config=config)
         assert report.converged
-        assert shapes == [(top, top)] * report.iterations
+        assert shapes == [(top, top)] * int(report.jacobian_refreshed.sum())
         shapes.clear()
 
 
@@ -1225,32 +1221,135 @@ def test_max_iterations_exceeded():
     assert report.residual_history.shape == (3,)
 
 
-def test_line_search_failure_keeps_last_iterate():
-    # at a residual of a few 1e-16 the simplified correction is rounding
-    # noise, and no damping factor down to 1e-8 passes the monotonicity test
-    p = dumbbell_problem()
-    report = newton_solve(
-        p, config=SolveConfig(damping=True, tolerance=1e-30, max_iterations=12)
-    )
-    assert report.status == "line_search_failed"
-    assert not report.converged
-    assert report.iterations < 12
-    assert report.residual_history.shape == (report.iterations + 1,)
-    # replay the solve one iteration at a time, capped at k iterations:
-    # every accepted step passed the natural monotonicity test
-    # |J(x_k)^-1 F(x_k+1)| < (1 - lambda_k/4) |dx_k|, and the failed step
-    # kept the last accepted iterate
-    iterates = [default_initial_guess(p)]
-    for k in range(1, report.iterations + 1):
-        capped = SolveConfig(damping=True, tolerance=1e-30, max_iterations=k)
-        iterates.append(pack(p, newton_solve(p, config=capped).trajectory))
-    np.testing.assert_array_equal(iterates[-1], pack(p, report.trajectory))
-    for x, x_next, lam in zip(iterates, iterates[1:], report.damping_factors):
-        lu = _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+def assert_steps_pass_monotonicity(p, iterates, report):
+    """Every accepted step x_k -> x_k+1 is lambda_k times the correction
+    -J^-1 F(x_k), solved with the factor of the last refreshed iterate, and
+    passed the natural monotonicity test with that factor:
+    |J^-1 F(x_k+1)| < (1 - lambda_k/4) |dx_k|."""
+    lu = None
+    for x, x_next, lam, fresh in zip(
+        iterates, iterates[1:], report.damping_factors, report.jacobian_refreshed
+    ):
+        if fresh:
+            lu = _CondensedFactor(p, assemble_jacobian_analytic(p, x))
         step = _correction(p, lu, assemble_residual(p, x))
         np.testing.assert_allclose(x_next, x + lam * step, rtol=0, atol=1e-15)
         simplified = _correction(p, lu, assemble_residual(p, x_next))
         assert np.linalg.norm(simplified) < (1.0 - 0.25 * lam) * np.linalg.norm(step)
+
+
+def test_line_search_failure_keeps_last_iterate():
+    # at a residual of a few 1e-16 the simplified correction is rounding
+    # noise: the reused step fails the monotonicity test, and after the
+    # refactorization no damping factor down to 1e-8 passes it
+    p = dumbbell_problem()
+    config = SolveConfig(damping=True, tolerance=1e-30, max_iterations=20)
+    report = newton_solve(p, config=config)
+    assert report.status == "line_search_failed"
+    assert not report.converged
+    assert report.iterations < 20
+    assert report.residual_history.shape == (report.iterations + 1,)
+    # replay the solve one iteration at a time, capped at k iterations:
+    # every accepted step passed the natural monotonicity test, and the
+    # failed step kept the last accepted iterate
+    assert_steps_pass_monotonicity(p, capped_iterates(p, report, config), report)
+
+
+# -- factor reuse ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("damping", [False, True], ids=["undamped", "damped"])
+def test_without_reuse_every_step_is_a_newton_step(damping, monkeypatch):
+    # with theta_max = 0 the solver refactors at every iterate, and its
+    # iterates are those of Newton's method replayed by hand
+    monkeypatch.setattr(graph_ot.newton, "_THETA_MAX", 0.0)
+    p = dumbbell_problem()
+    report = newton_solve(p, config=SolveConfig(damping=damping))
+    assert report.converged and report.iterations >= 3
+    assert report.jacobian_refreshed.all()
+    x = default_initial_guess(p)
+    for lam, norm in zip(report.damping_factors, report.residual_history[1:]):
+        lu = _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+        x = x + lam * _correction(p, lu, assemble_residual(p, x))
+        assert np.linalg.norm(assemble_residual(p, x)) == norm
+    np.testing.assert_array_equal(x, pack(p, report.trajectory))
+
+
+def test_map_problem_factors_once(monkeypatch):
+    g = lattice_1d_periodic(64, 1.0)
+    p = TransportProblem(g, *benchmark_1d_map_densities(g), 64)
+    assembled = []
+    assemble = graph_ot.newton.assemble_jacobian_analytic
+
+    def counting(problem, x):
+        assembled.append(x)
+        return assemble(problem, x)
+
+    monkeypatch.setattr(graph_ot.newton, "assemble_jacobian_analytic", counting)
+    report = newton_solve(p)
+    assert report.converged
+    assert len(assembled) == report.jacobian_refreshed.sum() == 1
+    assert report.iterations > 1
+    monkeypatch.setattr(graph_ot.newton, "_THETA_MAX", 0.0)
+    newton = newton_solve(p)
+    assert newton.converged and newton.jacobian_refreshed.sum() == newton.iterations > 1
+    assert report.w2_action == pytest.approx(newton.w2_action, rel=1e-10, abs=0.0)
+
+
+def test_reused_step_that_fails_the_test_is_rejected(monkeypatch):
+    # with the factor kept at every contraction below 1, some reused steps
+    # of this damped solve fail the monotonicity test at lambda = 1
+    monkeypatch.setattr(graph_ot.newton, "_THETA_MAX", 1.0)
+    g = lattice_1d_periodic(16, 4.0, -1.0)
+    mu = gaussian_density_1d(g, 15.0, 0.0, 1e-6)
+    nu = gaussian_density_1d(g, 15.0, 1.0, 1e-6)
+    p = TransportProblem(g, mu, nu, 16)
+    config = SolveConfig(damping=True)
+    events = []
+    residual, assemble = graph_ot.newton._residual, graph_ot.newton.assemble_jacobian_analytic
+
+    def recording_residual(problem, x):
+        events.append(("residual", np.array(x)))
+        return residual(problem, x)
+
+    def recording_assembly(problem, x):
+        events.append(("assembly", np.array(x)))
+        return assemble(problem, x)
+
+    monkeypatch.setattr(graph_ot.newton, "_residual", recording_residual)
+    monkeypatch.setattr(graph_ot.newton, "assemble_jacobian_analytic", recording_assembly)
+    report = newton_solve(p, config=config)
+    monkeypatch.setattr(graph_ot.newton, "_residual", residual)
+    monkeypatch.setattr(graph_ot.newton, "assemble_jacobian_analytic", assemble)
+    assert report.converged
+    reused = np.flatnonzero(~report.jacobian_refreshed)
+    assert reused.size
+    # a factor is kept only after a full step
+    assert (report.damping_factors[reused - 1] == 1.0).all()
+    assert (report.damping_factors < 1.0).any()
+    iterates = capped_iterates(p, report, config)
+
+    def position(x):
+        found = [k for k, it in enumerate(iterates) if np.array_equal(it, x)]
+        return found[0] if found else None
+
+    # a trial whose residual is followed by an assembly elsewhere was a
+    # reused step, rejected
+    rejected = [
+        (trial, x)
+        for (kind, trial), (next_kind, x) in zip(events, events[1:])
+        if kind == "residual" and next_kind == "assembly" and not np.array_equal(trial, x)
+    ]
+    assert rejected
+    for trial, x in rejected:
+        # never accepted; the solver kept x, refactored there and stepped on
+        assert position(trial) is None
+        # from x, reached by a full step, only the reused step was tried
+        k = position(x)
+        assert k is not None and 1 <= k < report.iterations
+        assert report.damping_factors[k - 1] == 1.0
+        assert report.jacobian_refreshed[k]
+    assert_steps_pass_monotonicity(p, iterates, report)
 
 
 def test_nonfinite_residual_reported_not_raised():
