@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotA1DLatticeError, NotA2DLatticeError, TooFewNodesError
+from .errors import InputFormatError, NotA1DLatticeError, NotA2DLatticeError, TooFewNodesError
 from .graph import Lattice1D, Lattice2D, WeightedGraph
 
 __all__ = [
@@ -24,6 +24,8 @@ __all__ = [
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InputFormatError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

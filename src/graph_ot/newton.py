@@ -89,13 +89,9 @@ _THETA_MAX = 0.1
 class SolveConfig:
     """Newton iteration controls.
 
-    ``damping`` runs Deuflhard's error-oriented damping (NLEQ-ERR): a step
-    x + lambda dx is accepted when its simplified correction
-    J(x)^-1 F(x + lambda dx), solved with the factor of the step, is shorter
-    than (1 - lambda/4) |dx|, lambda being predicted from the last step and
-    corrected after each rejected trial (see ``newton_solve``).  Plain
-    Newton when off.  ``max_iterations`` caps the accepted steps, those
-    taken with a reused factor included.
+    ``damping`` damps each Newton step by Deuflhard's error-oriented
+    NLEQ-ERR (see ``newton_solve``); plain Newton when off.
+    ``max_iterations`` caps the accepted steps, kept-factor steps included.
     """
 
     tolerance: float = 1e-10
@@ -663,49 +659,15 @@ def _correction(
     return _from_potentials(problem, lu.solve(_to_nodal_rows(problem, -residual)))
 
 
-def _contraction(step: np.ndarray, simplified: np.ndarray) -> tuple[float, float]:
-    """|step| and the contraction |simplified| / |step|, NaN or inf once
-    either has overflowed."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        step_norm = np.linalg.norm(step)
-        return step_norm, np.linalg.norm(simplified) / step_norm
-
-
-def _damped_step(
-    problem: TransportProblem,
-    lu: _CondensedFactor,
-    x: np.ndarray,
-    step: np.ndarray,
-    lam: float,
+def _trial(
+    problem: TransportProblem, lu: _CondensedFactor, x: np.ndarray, step: np.ndarray, lam: float
 ):
-    """One step of the error-oriented damping from x along the correction.
-
-    A trial x + lam step passes the natural monotonicity test when its
-    simplified correction, solved with the factor ``lu`` of the step, is
-    shorter than (1 - lam/4) |step|.  A failed trial retries at
-    min(mu', lam/2), mu' = lam^2 |step| / (2 |simplified - (1 - lam) step|)
-    being Deuflhard's corrected estimate; a non-finite trial at lam/2.
-    Returns (lam, trial, its residual and residual norm, its simplified
-    correction), or None once lam falls below ``_LAMBDA_MIN``.
-    """
-    step_norm = np.linalg.norm(step)
-    if not np.isfinite(step_norm):
-        return None
-    while lam >= _LAMBDA_MIN:
-        trial = x + lam * step
-        residual, norm = _residual(problem, trial)
-        with np.errstate(over="ignore", invalid="ignore"):
-            simplified = _correction(problem, lu, residual)
-            simplified_norm = np.linalg.norm(simplified)
-        if not np.isfinite(simplified_norm):
-            lam *= 0.5
-            continue
-        if simplified_norm < (1.0 - 0.25 * lam) * step_norm:
-            return lam, trial, residual, norm, simplified
-        gap = np.linalg.norm(simplified - (1.0 - lam) * step)
-        corrected = 0.5 * step_norm * lam**2 / gap if gap > 0.0 else np.inf
-        lam = min(corrected, 0.5 * lam)
-    return None
+    """The trial x + lam step, its residual and residual norm, and its
+    simplified correction -J^-1 F(trial), solved with the held factor ``lu``."""
+    trial = x + lam * step
+    residual, norm = _residual(problem, trial)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return trial, residual, norm, _correction(problem, lu, residual)
 
 
 def newton_solve(
@@ -722,31 +684,33 @@ def newton_solve(
     exactly singular Jacobian are reported through the status, never
     raised; the report then holds the last iterate.
 
-    With damping, each step is damped by Deuflhard's error-oriented
-    NLEQ-ERR (*Newton Methods for Nonlinear Problems*, Springer 2004,
-    sec. 3.3), which is affine invariant like Newton's method itself.  The
-    first factor is 1; step k's is predicted from the last accepted step,
-    lambda_{k-1} |dx_{k-1}| |dxbar_k| / (|dxbar_k - dx_k| |dx_k|), dxbar_k
-    being the simplified correction of the accepted trial, and capped at
-    1.  Trials are then checked and corrected by ``_damped_step``.  A
-    predicted factor below ``_LAMBDA_MIN`` also ends the solve with
-    "line_search_failed".
+    Every step is a trial x + lambda dx judged by one rule, Deuflhard's
+    affine-invariant natural monotonicity test (*Newton Methods for
+    Nonlinear Problems*, Springer 2004, sec. 3.3): its simplified correction
+    dxbar = -J^-1 F(x + lambda dx), solved with the held factor, must be
+    shorter than (1 - lambda/4) |dx|.  There are three kinds of step:
 
-    A factor is kept while the iteration contracts fast (simplified Newton,
-    Deuflhard 2004, ch. 2; Kelley, *Iterative Methods for Linear and
-    Nonlinear Equations*, SIAM 1995, the Shamanskii method).  After every
-    full step (lambda = 1) the solver holds the simplified correction
-    dxbar = -J(x_k)^-1 F(x_k+1), solved with its factor: the damped path
-    has it from its test, and the undamped path solves for it.  If the
-    contraction theta = |dxbar| / |dx| is below ``_THETA_MAX``, the next
-    step is dxbar itself, and nothing is assembled or factored.  That step
-    is accepted only if it passes the monotonicity test at lambda = 1: its
-    own simplified correction, with the same factor, must be shorter than
-    3/4 of it, and it then serves as the next step in turn while its
-    contraction stays below ``_THETA_MAX``.  A step that fails the test is
-    rejected: the solver keeps x, refactors there and takes a Newton step,
-    damped as above with the prediction from the last accepted step.  One
-    factor is alive at a time, and the rcond estimate is that of the first.
+    - An undamped Newton step dx = -J(x)^-1 F(x) is the trial at lambda = 1,
+      taken without the test.
+    - A damped Newton step (NLEQ-ERR) starts at the factor predicted from
+      the last accepted step, lambda_{k-1} |dx_{k-1}| |dxbar_k| /
+      (|dxbar_k - dx_k| |dx_k|) capped at 1, or at 1 for the first step,
+      dxbar_k being the simplified correction of the accepted trial.  A
+      failed trial retries at min(mu', lambda/2), mu' = lambda^2 |dx| /
+      (2 |dxbar - (1 - lambda) dx|) being Deuflhard's corrected estimate, or
+      at lambda/2 after a non-finite trial.  A non-finite step, or a
+      predicted or corrected factor below ``_LAMBDA_MIN``, ends the solve
+      with "line_search_failed".
+    - A kept-factor step is simplified Newton (Deuflhard 2004, ch. 2;
+      Kelley, *Iterative Methods for Linear and Nonlinear Equations*, SIAM
+      1995, the Shamanskii method).  After a full step (lambda = 1) whose
+      contraction theta = |dxbar| / |dx| is below ``_THETA_MAX``, the next
+      step is that dxbar, the trial at lambda = 1 with the same factor, and
+      nothing is assembled or factored.  A kept-factor step that fails the
+      test is rejected: the solver keeps x, refactors there and takes a
+      Newton step.
+
+    One factor is alive at a time; the rcond estimate is the first's.
     """
     if config is None:
         config = SolveConfig()
@@ -782,19 +746,6 @@ def newton_solve(
             break
 
         fresh = not keep_factor
-        if keep_factor:
-            # a simplified-Newton step with the held factor, accepted only
-            # if it passes the monotonicity test at lambda = 1
-            step = previous[1]
-            trial = x + step
-            trial_residual, trial_norm = _residual(problem, trial)
-            with np.errstate(over="ignore", invalid="ignore"):
-                simplified = _correction(problem, lu, trial_residual)
-            step_norm, theta = _contraction(step, simplified)
-            if theta < 0.75:
-                lam, x, residual, norm = 1.0, trial, trial_residual, trial_norm
-            else:
-                fresh = True  # rejected: refactor at x
         if fresh:
             # one factor alive at a time: the last one and its matrix go first
             lu = None
@@ -809,27 +760,44 @@ def newton_solve(
             if rcond is None:
                 rcond = _rcond_estimate(matrix, lu)
             del matrix  # the factor holds the blocks its solves need
-
             step = _correction(problem, lu, residual)
-            lam = 1.0
-            if config.damping:
-                if previous is not None:
-                    last_length, simplified = previous
-                    gap = np.linalg.norm(simplified - step) * np.linalg.norm(step)
-                    if gap > 0.0:
-                        lam = min(1.0, last_length * np.linalg.norm(simplified) / gap)
-                accepted = _damped_step(problem, lu, x, step, lam)
-                if accepted is None:
-                    # no acceptable damping factor: keep the last iterate
-                    status = "line_search_failed"
-                    break
-                lam, x, residual, norm, simplified = accepted
+        else:
+            step = previous[1]
+        lam = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_norm = np.linalg.norm(step)
+        damped = config.damping and fresh
+        if damped and previous is not None:
+            last_length, simplified = previous
+            gap = np.linalg.norm(simplified - step) * step_norm
+            if gap > 0.0:
+                lam = min(1.0, last_length * np.linalg.norm(simplified) / gap)
+
+        # one trial per step, but a damped step retries down to _LAMBDA_MIN,
+        # and makes no trial at all along a non-finite step
+        passed = False
+        while lam >= _LAMBDA_MIN and (np.isfinite(step_norm) or not damped):
+            trial, trial_residual, trial_norm, simplified = _trial(problem, lu, x, step, lam)
+            with np.errstate(over="ignore", invalid="ignore"):
+                simplified_norm = np.linalg.norm(simplified)
+            passed = simplified_norm < (1.0 - 0.25 * lam) * step_norm
+            if passed or not damped:
+                break
+            if np.isfinite(simplified_norm):
+                gap = np.linalg.norm(simplified - (1.0 - lam) * step)
+                lam = min(0.5 * step_norm * lam**2 / gap if gap > 0.0 else np.inf, 0.5 * lam)
             else:
-                x = x + step
-                residual, norm = _residual(problem, x)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    simplified = _correction(problem, lu, residual)
-            step_norm, theta = _contraction(step, simplified)
+                lam *= 0.5
+        if not passed and not fresh:
+            keep_factor = False  # a kept-factor step failed: refactor at x
+            continue
+        if not passed and damped:
+            status = "line_search_failed"  # the report keeps the last iterate
+            break
+
+        x, residual, norm = trial, trial_residual, trial_norm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = simplified_norm / step_norm
         previous = (lam * step_norm, simplified)
         keep_factor = lam == 1.0 and theta < _THETA_MAX
         iterations += 1

@@ -24,6 +24,7 @@ from .graph import (
     Lattice1D,
     Lattice2D,
     WeightedGraph,
+    _data_lines,
     build_from_edge_list,
     complete_graph,
     dumbbell,
@@ -43,7 +44,7 @@ from .generators import (
 )
 from .metrics import _effective_edges_per_level, hamiltonian_drift, map_error_1d
 from .mobility import MOBILITIES, get_mobility
-from .newton import SolveConfig, SolveReport, check_cfl, newton_solve
+from .newton import SolveConfig, SolveReport, _cfl_margins_all_levels, check_cfl, newton_solve
 from .system import TransportProblem, Trajectory
 from .tree import SpanningTree, read_tree_file
 
@@ -210,10 +211,7 @@ def read_density_file(
     """
     path = Path(path)
     values = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
+    for lineno, text in _data_lines(path):
         try:
             values.append(float(text))
         except ValueError:
@@ -586,18 +584,16 @@ def _consensus_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
 
 def _check_cfl_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
     problem, report, _ = solves[0]
-    margins = []
-    tau_star = float("inf")
-    for level_v in report.trajectory.edge_velocities[: problem.steps]:
-        level_margins, level_tau_star = check_cfl(problem.graph, level_v, problem.tau)
-        margins.append(float(level_margins.min()))
-        tau_star = min(tau_star, level_tau_star)
+    v = report.trajectory.edge_velocities[: problem.steps]
+    margins = _cfl_margins_all_levels(problem.graph, v, problem.tau).min(axis=1)
+    # tau* falls as max |v| grows: the fastest level's bounds every level's
+    _, tau_star = check_cfl(problem.graph, v[np.abs(v).max(axis=1).argmax()], problem.tau)
     return {
         "tau": problem.tau,
         "tau_star": None if tau_star == float("inf") else tau_star,  # None: unbounded
-        "min_margin_per_level": margins,
-        "min_margin": min(margins) if margins else 1.0,
-        "cfl_satisfied": bool(margins and min(margins) >= 0.0),
+        "min_margin_per_level": margins.tolist(),
+        "min_margin": float(margins.min()),
+        "cfl_satisfied": bool(margins.min() >= 0.0),
     }
 
 
@@ -720,6 +716,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
     for name in _REFUSABLE:
         if _given(spec, name) and name not in scenario.takes:
             raise InputFormatError(f"scenario {spec.scenario!r} does not accept {_FLAGS[name]}")
+    for name in ("origin", "threshold"):
+        value = getattr(spec, name)
+        if value is not None and not np.isfinite(value):
+            raise InputFormatError(f"{_FLAGS[name]} must be finite, got {value}")
 
     graph, graph_src = _resolve_graph(spec, scenario.graph)
     if spec.origin is not None and graph_src["kind"] not in ("lattice1d", "lattice2d"):

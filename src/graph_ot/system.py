@@ -107,8 +107,8 @@ class TransportProblem:
                     f"{name} must be strictly positive for the "
                     f"{self.model.kind!r} mobility"
                 )
-        if self.steps < 1:
-            raise DimensionMismatchError(f"steps must be >= 1, got {self.steps}")
+        if not float(self.steps).is_integer() or self.steps < 1:
+            raise DimensionMismatchError(f"steps must be an integer >= 1, got {self.steps}")
         self.steps = int(self.steps)
         if self.tree is None:
             self.tree = kruskal(self.graph)

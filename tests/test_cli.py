@@ -181,6 +181,27 @@ def test_bad_solver_value_is_input_error(option, error, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["dumbbell", "--seed", "-1"], "seed"),
+        (["benchmark-1d", "--origin", "inf"], "--origin"),
+        (["benchmark-1d", "--origin", "nan"], "--origin"),
+        (["recover-topology", "--threshold", "nan"], "--threshold"),
+        (["recover-topology", "--threshold", "inf"], "--threshold"),
+    ],
+    ids=["seed -1", "origin inf", "origin nan", "threshold nan", "threshold inf"],
+)
+def test_bad_run_input_is_input_error(argv, name, tmp_path, capsys):
+    out = tmp_path / "bad.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    reported = stderr_error(capsys)
+    assert reported["type"] == "InputFormatError"
+    assert reported["exit_code"] == 2
+    assert name in reported["message"]
+    assert not out.exists()
+
+
 def test_missing_graph_file(tmp_path, capsys):
     mu = tmp_path / "mu.txt"
     nu = tmp_path / "nu.txt"

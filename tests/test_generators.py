@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from graph_ot import (
     BENCHMARK_1D_W2,
+    InputFormatError,
     NotA1DLatticeError,
     NotA2DLatticeError,
     TooFewNodesError,
@@ -136,6 +137,13 @@ def test_random_density_mass_and_floor(n, seed):
     rho = seeded_random_density(n, seed)
     assert rho.sum() == pytest.approx(1.0, abs=1e-12)
     assert rho.min() >= 0.05 / n
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(InputFormatError, match="seed"):
+        seeded_random_density(4, -1)
+    with pytest.raises(InputFormatError, match="seed"):
+        random_connected_graph(4, 0.3, -2)
 
 
 def test_random_density_too_small():

@@ -1275,6 +1275,38 @@ def test_without_reuse_every_step_is_a_newton_step(damping, monkeypatch):
     np.testing.assert_array_equal(x, pack(p, report.trajectory))
 
 
+def test_undamped_kept_factor_steps_replay():
+    # at the default theta_max, replayed one iteration at a time: every
+    # refreshed step is the full Newton step, and every kept step is the
+    # last simplified correction, kept after a contraction below theta_max,
+    # and passed the 3/4 test with the held factor; a refreshed step after
+    # such a contraction means that correction failed the test
+    p = dumbbell_problem()
+    config = SolveConfig()
+    report = newton_solve(p, config=config)
+    assert report.converged
+    assert report.jacobian_refreshed.sum() >= 2 and not report.jacobian_refreshed.all()
+    np.testing.assert_array_equal(report.damping_factors, 1.0)
+    iterates = capped_iterates(p, report, config)
+    theta_max = graph_ot.newton._THETA_MAX
+    for k, (x, x_next) in enumerate(zip(iterates, iterates[1:])):
+        fresh = report.jacobian_refreshed[k]
+        keep = k > 0 and np.linalg.norm(simplified) / np.linalg.norm(step) < theta_max
+        if keep and fresh:
+            rejected = _correction(p, lu, assemble_residual(p, x + simplified))
+            assert not np.linalg.norm(rejected) < 0.75 * np.linalg.norm(simplified)
+        if fresh:
+            lu = _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+            step = _correction(p, lu, assemble_residual(p, x))
+        else:
+            assert keep
+            step = simplified
+        np.testing.assert_array_equal(x_next, x + step)
+        simplified = _correction(p, lu, assemble_residual(p, x_next))
+        if not fresh:
+            assert np.linalg.norm(simplified) < 0.75 * np.linalg.norm(step)
+
+
 def test_map_problem_factors_once(monkeypatch):
     g = lattice_1d_periodic(64, 1.0)
     p = TransportProblem(g, *benchmark_1d_map_densities(g), 64)

@@ -76,6 +76,17 @@ def test_problem_rejects_zero_steps(two_node):
         TransportProblem(two_node, np.array([0.6, 0.4]), np.array([0.4, 0.6]), 0)
 
 
+@pytest.mark.parametrize("steps", [2.5, 2.7, float("nan"), float("inf")])
+def test_problem_rejects_fractional_steps(two_node, steps):
+    with pytest.raises(DimensionMismatchError, match="integer"):
+        TransportProblem(two_node, np.array([0.6, 0.4]), np.array([0.4, 0.6]), steps)
+
+
+def test_problem_takes_integral_steps(two_node):
+    p = TransportProblem(two_node, np.array([0.6, 0.4]), np.array([0.4, 0.6]), np.int64(3))
+    assert p.steps == 3 and type(p.steps) is int
+
+
 def test_problem_rejects_foreign_tree(two_node):
     other = build_from_edge_list([(1, 2, 1.0), (2, 3, 1.0)])
     with pytest.raises(ValueError):
