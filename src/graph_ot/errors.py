@@ -19,8 +19,6 @@ __all__ = [
     "InvalidDensityError",
     "NotA1DLatticeError",
     "NotA2DLatticeError",
-    "LevelOutOfRangeError",
-    "SingularJacobianError",
     "InputFormatError",
 ]
 
@@ -89,22 +87,12 @@ class NotA2DLatticeError(GraphOTError, ValueError):
     """The operation needs a graph built by the periodic 2-d lattice family."""
 
 
-class LevelOutOfRangeError(GraphOTError, IndexError):
-    """A time-level index lies outside 1..steps+1."""
-
-
 class SingularJacobianError(GraphOTError, RuntimeError):
     """The Newton matrix could not be factored.
 
     Raised by the condensed factor inside ``graph_ot.newton``;
     ``newton_solve`` reports it as the status ``singular_jacobian``.
-    Carries a reciprocal-condition estimate when one is available so the
-    caller can distinguish exact singularity from severe ill-conditioning.
     """
-
-    def __init__(self, message: str, rcond: float | None = None):
-        super().__init__(message)
-        self.rcond = rcond
 
 
 class InputFormatError(GraphOTError, ValueError):

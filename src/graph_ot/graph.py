@@ -159,15 +159,6 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        """Sorted neighbor labels of ``node``."""
-        self._check_node(node)
-        return tuple(self._adjacency[node - 1])
-
-    def degree(self, node: int) -> int:
-        self._check_node(node)
-        return len(self._adjacency[node - 1])
-
     @property
     def max_degree(self) -> int:
         return max(len(n) for n in self._adjacency)
@@ -182,16 +173,6 @@ class WeightedGraph:
             return self._edge_index[key]
         except KeyError:
             raise EdgeNotInGraphError(f"no edge {key}") from None
-
-    def weight(self, i: int, j: int) -> float:
-        """Weight of the undirected edge {i, j} (symmetric lookup)."""
-        return float(self.weights[self.edge_position(i, j)])
-
-    def _check_node(self, node: int) -> None:
-        if not (1 <= node <= self.node_count):
-            raise NodeOutOfRangeError(
-                f"node {node} outside 1..{self.node_count}"
-            )
 
     def _check_connected(self) -> None:
         seen = np.zeros(self.node_count, dtype=bool)

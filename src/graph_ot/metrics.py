@@ -1,8 +1,7 @@
 """Post-processing of solved trajectories.
 
 Two Wasserstein distance estimators, Hamiltonian drift along the discrete
-geodesic, flux-thresholded effective topology, and 1-d transport-map
-recovery against an analytic map.
+geodesic, and 1-d transport-map recovery against an analytic map.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LevelOutOfRangeError, NotA1DLatticeError
+from .errors import NotA1DLatticeError
 from .graph import Lattice1D, WeightedGraph
 from .mobility import Mobility
 from .system import Trajectory
@@ -20,7 +19,6 @@ __all__ = [
     "w2_action",
     "w2_initial",
     "hamiltonian_drift",
-    "effective_edges",
     "map_error_1d",
 ]
 
@@ -68,26 +66,6 @@ def hamiltonian_drift(
     """max_m |H(rho^m, v^m) - H(rho^1, v^1)| over all M+1 levels."""
     energy = 0.5 * _level_energy(trajectory, graph, model)
     return float(np.abs(energy - energy[0]).max())
-
-
-def effective_edges(
-    trajectory: Trajectory,
-    graph: WeightedGraph,
-    level: int,
-    threshold: float,
-) -> list[tuple[int, int]]:
-    """Edges whose velocity magnitude strictly exceeds ``threshold``.
-
-    ``level`` is 1-based in 1..M+1.  Sweeping the threshold upward gives
-    nested (antitone) edge sets, which is how a sparse effective topology is
-    read off an overparameterized hypothesis graph.
-    """
-    if not (1 <= level <= trajectory.steps + 1):
-        raise LevelOutOfRangeError(
-            f"level {level} outside 1..{trajectory.steps + 1}"
-        )
-    velocities = trajectory.edge_velocities[level - 1 : level]
-    return [tuple(e) for e in _effective_edges_per_level(velocities, graph, threshold)[0]]
 
 
 def _effective_edges_per_level(

@@ -6,17 +6,14 @@ arithmetic mean ignores the velocity; the upwind value takes the density of
 the node the flow leaves, which is what makes explicit density updates
 positivity preserving under a CFL bound.
 
-All methods broadcast over numpy arrays.  The ``*_values``/``*_partials``
-methods skip validation so the solver can evaluate residuals at iterates
-with negative interior densities; the module-level ``theta`` validates its
-inputs.
+All methods broadcast over numpy arrays.  They skip validation so the
+solver can evaluate residuals at iterates with negative interior
+densities.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import NegativeDensityError
 
 __all__ = [
     "Mobility",
@@ -26,7 +23,6 @@ __all__ = [
     "UPWIND",
     "MOBILITIES",
     "get_mobility",
-    "theta",
 ]
 
 
@@ -34,7 +30,6 @@ class Mobility:
     """Base class: a scalar edge weight theta(rho_i, rho_j, v_ij)."""
 
     kind: str = ""
-    velocity_dependent: bool = False
     requires_interior: bool = False
 
     def theta_values(self, rho_i, rho_j, v_ij):
@@ -52,7 +47,6 @@ class ArithmeticMean(Mobility):
     """theta = (rho_i + rho_j) / 2, independent of the velocity."""
 
     kind = "mean"
-    velocity_dependent = False
     # the velocity equation divides by nothing, but geodesics through zero
     # density are degenerate for this model, so endpoints must be interior
     requires_interior = True
@@ -75,7 +69,6 @@ class Upwind(Mobility):
     """
 
     kind = "upwind"
-    velocity_dependent = True
     requires_interior = False
 
     def theta_values(self, rho_i, rho_j, v_ij):
@@ -105,13 +98,3 @@ def get_mobility(name: str) -> Mobility:
             f"unknown mobility {name!r}; choose from {sorted(MOBILITIES)}"
         ) from None
 
-
-def _validate_nonnegative(rho_i, rho_j) -> None:
-    if np.any(np.asarray(rho_i) < 0.0) or np.any(np.asarray(rho_j) < 0.0):
-        raise NegativeDensityError("mobility needs nonnegative densities")
-
-
-def theta(model: Mobility, rho_i, rho_j, v_ij=0.0):
-    """Edge mobility value; validates nonnegativity of the densities."""
-    _validate_nonnegative(rho_i, rho_j)
-    return model.theta_values(rho_i, rho_j, v_ij)

@@ -539,7 +539,7 @@ class _CondensedFactor:
     the only way K is formed.  A12's factor serves every solve.
 
     An exactly zero column of K makes the matrix exactly singular and
-    raises SingularJacobianError with rcond 0.  Any other zero pivot of K,
+    raises SingularJacobianError.  Any other zero pivot of K,
     or a non-finite K, leaves the factor ``singular``: every solve then
     returns NaN, so the step is reported as non-finite instead of raised.
     """
@@ -571,8 +571,7 @@ class _CondensedFactor:
         if zero_columns.size:
             raise SingularJacobianError(
                 f"Jacobian is exactly singular: {zero_columns.size} of {n1} "
-                "Schur-complement columns are zero",
-                rcond=0.0,
+                "Schur-complement columns are zero"
             )
         self.singular = not np.isfinite(schur).all()
         if not self.singular:

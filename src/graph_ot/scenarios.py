@@ -45,7 +45,7 @@ from .generators import (
 from .metrics import _effective_edges_per_level, hamiltonian_drift, map_error_1d
 from .mobility import MOBILITIES, get_mobility
 from .newton import SolveConfig, SolveReport, _cfl_margins_all_levels, check_cfl, newton_solve
-from .system import TransportProblem, Trajectory
+from .system import TransportProblem
 from .tree import SpanningTree, read_tree_file
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "read_density_file",
     "write_artifact",
     "read_artifact",
-    "trajectory_from_artifact",
     "EXIT_OK",
     "EXIT_INPUT_ERROR",
     "EXIT_NOT_CONVERGED",
@@ -458,17 +457,6 @@ def _solve_document(
     }
 
 
-def trajectory_from_artifact(document: dict) -> Trajectory:
-    """Rebuild the Trajectory arrays from a parsed artifact document."""
-    block = document["trajectory"]
-    return Trajectory(
-        times=np.array(block["times"], dtype=float),
-        densities=np.array(block["densities"], dtype=float),
-        tree_velocities=np.array(block["tree_velocities"], dtype=float),
-        edge_velocities=np.array(block["edge_velocities"], dtype=float),
-    )
-
-
 def write_artifact(document: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(document) + "\n")
 
@@ -720,6 +708,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
         value = getattr(spec, name)
         if value is not None and not np.isfinite(value):
             raise InputFormatError(f"{_FLAGS[name]} must be finite, got {value}")
+    for name in ("threshold", "seed"):
+        value = getattr(spec, name)
+        if value is not None and value < 0:
+            raise InputFormatError(f"{_FLAGS[name]} must be >= 0, got {value}")
 
     graph, graph_src = _resolve_graph(spec, scenario.graph)
     if spec.origin is not None and graph_src["kind"] not in ("lattice1d", "lattice2d"):

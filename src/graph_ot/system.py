@@ -51,7 +51,6 @@ __all__ = [
     "unpack",
     "level_fields",
     "divergence",
-    "nodal_kinetic",
     "assemble_residual",
     "explicit_upwind_update",
 ]
@@ -233,23 +232,27 @@ def divergence(
     v_edges: np.ndarray,
     model: Mobility = ARITHMETIC_MEAN,
 ) -> np.ndarray:
-    """Weighted divergence of the momentum field at one time level.
+    """Weighted divergence of the momentum field, per node.
 
     div_i = sum_{j ~ i} sqrt(w_ij) v_ij theta_ij(rho); its components sum
     to zero exactly because each edge contributes antisymmetrically.
+    Supports stacked level rows: rho of shape (..., N) with v_edges
+    (..., E) gives (..., N).
     """
     rho = np.asarray(rho, dtype=float)
     v = np.asarray(v_edges, dtype=float)
-    if rho.shape != (graph.node_count,):
+    if rho.shape[-1:] != (graph.node_count,):
         raise DimensionMismatchError(
-            f"density must have shape ({graph.node_count},), got {rho.shape}"
+            f"density must have shape (..., {graph.node_count}), got {rho.shape}"
         )
-    if v.shape != (graph.edge_count,):
+    if v.shape != rho.shape[:-1] + (graph.edge_count,):
         raise DimensionMismatchError(
-            f"edge velocities must have shape ({graph.edge_count},), got {v.shape}"
+            f"edge velocities must have shape {rho.shape[:-1] + (graph.edge_count,)}, "
+            f"got {v.shape}"
         )
-    th = model.theta_values(rho[graph.tail], rho[graph.head], v)
-    return graph.incidence @ (graph.sqrt_weights * v * th)
+    th = model.theta_values(rho[..., graph.tail], rho[..., graph.head], v)
+    flux = np.atleast_2d(graph.sqrt_weights * v * th)
+    return (graph.incidence @ flux.T).T.reshape(rho.shape)
 
 
 def nodal_kinetic(
@@ -315,9 +318,7 @@ def assemble_residual(problem: TransportProblem, x: np.ndarray) -> np.ndarray:
     rho, vel, edge_vel = level_fields(problem, x)
     cur_rho = rho[:m]
     cur_v = edge_vel[:m]
-    th = problem.model.theta_values(cur_rho[:, g.tail], cur_rho[:, g.head], cur_v)
-    flux = g.sqrt_weights * cur_v * th
-    div = (g.incidence @ flux.T).T
+    div = divergence(g, cur_rho, cur_v, problem.model)
     f_rho = rho[1:, :n1] - cur_rho[:, :n1] + problem.tau * div[:, :n1]
     kinetic = nodal_kinetic(g, cur_rho, cur_v, problem.model)
     phi = 0.5 * problem.tau * tree.sqrt_weights * (

@@ -24,7 +24,6 @@ from graph_ot import (
     default_initial_guess,
     divergence,
     dumbbell,
-    effective_edges,
     explicit_upwind_update,
     hamiltonian_drift,
     lattice_1d_periodic,
@@ -38,6 +37,7 @@ from graph_ot import (
     seeded_random_density,
     state_size,
 )
+from graph_ot.metrics import _effective_edges_per_level
 from graph_ot.newton import (
     _THETA_MAX,
     _CondensedFactor,
@@ -212,7 +212,7 @@ def test_criterion_5_jacobian_correctness():
             )
             for _ in range(10):
                 x = default_initial_guess(p) + rng.normal(0.0, 0.05, state_size(p))
-                if model.velocity_dependent:
+                if model is UPWIND:
                     # stay away from the switching set |v| <= 1e-6
                     rho, vel, _ = level_fields(p, x)
                     vel[np.abs(vel) < 1e-3] = 1e-3
@@ -344,10 +344,14 @@ def test_criterion_9_topology_recovery(k10_solution):
     all_edges = set(graph.edges)
     vmax = float(np.abs(trajectory.edge_velocities).max())
     thresholds = np.linspace(0.0, vmax, 10)
-    for level in range(1, problem.steps + 2):
+    per_threshold = [
+        _effective_edges_per_level(trajectory.edge_velocities, graph, float(threshold))
+        for threshold in thresholds
+    ]
+    for level in range(problem.steps + 1):
         previous = None
-        for threshold in thresholds:
-            current = set(effective_edges(trajectory, graph, level, float(threshold)))
+        for per_level in per_threshold:
+            current = {tuple(e) for e in per_level[level]}
             assert current <= all_edges
             if previous is not None:
                 assert current <= previous  # antitone in the threshold

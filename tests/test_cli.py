@@ -185,12 +185,17 @@ def test_bad_solver_value_is_input_error(option, error, tmp_path, capsys):
     "argv, name",
     [
         (["dumbbell", "--seed", "-1"], "seed"),
+        (["benchmark-1d", "--seed", "-1", "--steps", "4"], "--seed"),
         (["benchmark-1d", "--origin", "inf"], "--origin"),
         (["benchmark-1d", "--origin", "nan"], "--origin"),
         (["recover-topology", "--threshold", "nan"], "--threshold"),
         (["recover-topology", "--threshold", "inf"], "--threshold"),
+        (["recover-topology", "--threshold", "-1"], "--threshold"),
     ],
-    ids=["seed -1", "origin inf", "origin nan", "threshold nan", "threshold inf"],
+    ids=[
+        "seed -1", "undrawn seed -1", "origin inf", "origin nan",
+        "threshold nan", "threshold inf", "threshold -1",
+    ],
 )
 def test_bad_run_input_is_input_error(argv, name, tmp_path, capsys):
     out = tmp_path / "bad.json"

@@ -3,14 +3,12 @@ import pytest
 
 from graph_ot import (
     ARITHMETIC_MEAN,
-    LevelOutOfRangeError,
     NotA1DLatticeError,
     Trajectory,
     TransportProblem,
     UPWIND,
     build_from_edge_list,
     dumbbell,
-    effective_edges,
     hamiltonian_drift,
     lattice_1d_periodic,
     map_error_1d,
@@ -20,6 +18,7 @@ from graph_ot import (
     w2_action,
     w2_initial,
 )
+from graph_ot.metrics import _effective_edges_per_level
 
 
 def constant_two_node_trajectory(steps, velocity=0.4):
@@ -110,11 +109,14 @@ def velocity_trajectory(graph, steps, v_row):
 def test_effective_edges_strict_threshold():
     g = build_from_edge_list([(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
     traj = velocity_trajectory(g, 4, np.array([0.5, -0.2, 0.05]))
+    v = traj.edge_velocities
     # canonical edge order (1,2), (1,3), (2,3)
-    assert effective_edges(traj, g, 1, 0.1) == [(1, 2), (1, 3)]
-    assert effective_edges(traj, g, 1, 0.5) == []  # strict: |v| == threshold drops
-    assert effective_edges(traj, g, 1, 0.2) == [(1, 2)]
-    assert effective_edges(traj, g, 1, -1.0) == [(1, 2), (1, 3), (2, 3)]
+    assert _effective_edges_per_level(v, g, 0.1)[0] == [[1, 2], [1, 3]]
+    assert _effective_edges_per_level(v, g, 0.5)[0] == []  # strict: |v| == threshold drops
+    assert _effective_edges_per_level(v, g, 0.2)[0] == [[1, 2]]
+    assert _effective_edges_per_level(v, g, -1.0)[0] == [[1, 2], [1, 3], [2, 3]]
+    # one row per level, 1..M+1
+    assert _effective_edges_per_level(v, g, 0.1) == [[[1, 2], [1, 3]]] * 5
 
 
 def test_effective_edges_nested_in_threshold():
@@ -123,19 +125,12 @@ def test_effective_edges_nested_in_threshold():
     traj = velocity_trajectory(g, 3, rng.normal(0.0, 1.0, g.edge_count))
     previous = None
     for threshold in [0.0, 0.3, 0.6, 1.2, 2.4]:
-        current = set(effective_edges(traj, g, 2, threshold))
+        level_2 = _effective_edges_per_level(traj.edge_velocities, g, threshold)[1]
+        current = {tuple(e) for e in level_2}
         if previous is not None:
             assert current <= previous
         previous = current
 
-
-def test_effective_edges_level_bounds():
-    g = build_from_edge_list([(1, 2, 1.0)])
-    traj = velocity_trajectory(g, 4, np.array([1.0]))
-    for level in (0, 6, -1):
-        with pytest.raises(LevelOutOfRangeError):
-            effective_edges(traj, g, level, 0.1)
-    assert effective_edges(traj, g, 5, 0.1) == [(1, 2)]
 
 
 # -- map recovery -------------------------------------------------------------------

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from graph_ot import (
     ARITHMETIC_MEAN,
     MOBILITIES,
-    NegativeDensityError,
     UPWIND,
     get_mobility,
-    theta,
 )
 
 densities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -18,16 +16,16 @@ velocities = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
 def test_mean_value():
-    assert theta(ARITHMETIC_MEAN, 0.2, 0.4) == pytest.approx(0.3)
+    assert ARITHMETIC_MEAN.theta_values(0.2, 0.4, 0.0) == pytest.approx(0.3)
 
 
 def test_upwind_takes_upstream_density():
-    assert theta(UPWIND, 0.2, 0.4, 1.0) == 0.2
-    assert theta(UPWIND, 0.2, 0.4, -1.0) == 0.4
+    assert UPWIND.theta_values(0.2, 0.4, 1.0) == 0.2
+    assert UPWIND.theta_values(0.2, 0.4, -1.0) == 0.4
 
 
 def test_upwind_zero_velocity_takes_tail():
-    assert theta(UPWIND, 0.2, 0.4, 0.0) == 0.2
+    assert UPWIND.theta_values(0.2, 0.4, 0.0) == 0.2
 
 
 def test_mean_partials_are_halves():
@@ -40,11 +38,6 @@ def test_upwind_partials_are_indicator():
     assert UPWIND.theta_density_partials(0.2, 0.4, 0.0) == (1.0, 0.0)
 
 
-def test_negative_density_rejected():
-    with pytest.raises(NegativeDensityError):
-        theta(ARITHMETIC_MEAN, -0.1, 0.4)
-
-
 def test_registry_names():
     assert set(MOBILITIES) == {"mean", "upwind"}
     assert get_mobility("mean") is ARITHMETIC_MEAN
@@ -55,14 +48,12 @@ def test_registry_names():
 
 def test_model_flags():
     assert ARITHMETIC_MEAN.requires_interior
-    assert not ARITHMETIC_MEAN.velocity_dependent
-    assert UPWIND.velocity_dependent
     assert not UPWIND.requires_interior
 
 
 @given(densities, densities)
 def test_mean_maximum_principle(a, b):
-    th = theta(ARITHMETIC_MEAN, a, b)
+    th = ARITHMETIC_MEAN.theta_values(a, b, 0.0)
     assert min(a, b) <= th <= max(a, b)
 
 
@@ -74,20 +65,20 @@ normal_densities = st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0)
 
 @given(normal_densities, normal_densities, st.floats(min_value=1e-3, max_value=1e3))
 def test_mean_positive_homogeneity(a, b, lam):
-    assert theta(ARITHMETIC_MEAN, lam * a, lam * b) == pytest.approx(
-        lam * theta(ARITHMETIC_MEAN, a, b), rel=1e-15, abs=0.0
+    assert ARITHMETIC_MEAN.theta_values(lam * a, lam * b, 0.0) == pytest.approx(
+        lam * ARITHMETIC_MEAN.theta_values(a, b, 0.0), rel=1e-15, abs=0.0
     )
 
 
 @given(densities, densities)
 def test_mean_symmetric(a, b):
-    assert theta(ARITHMETIC_MEAN, a, b) == theta(ARITHMETIC_MEAN, b, a)
+    assert ARITHMETIC_MEAN.theta_values(a, b, 0.0) == ARITHMETIC_MEAN.theta_values(b, a, 0.0)
 
 
 @given(densities, densities, velocities)
 def test_upwind_flux_splitting_identity(a, b, v):
     # theta_up * v = a max(v,0) + b min(v,0), including v = 0
-    assert theta(UPWIND, a, b, v) * v == pytest.approx(
+    assert UPWIND.theta_values(a, b, v) * v == pytest.approx(
         a * max(v, 0.0) + b * min(v, 0.0), abs=1e-12
     )
 
@@ -95,15 +86,16 @@ def test_upwind_flux_splitting_identity(a, b, v):
 @given(densities, densities, st.floats(min_value=1e-9, max_value=10.0))
 def test_upwind_orientation_flip(a, b, v):
     # reversing the edge and the velocity picks the same upstream node
-    assert theta(UPWIND, a, b, v) == theta(UPWIND, b, a, -v)
+    assert UPWIND.theta_values(a, b, v) == UPWIND.theta_values(b, a, -v)
 
 
 @given(positive, positive)
 @settings(max_examples=50)
 def test_mean_partials_match_central_differences(a, b):
     h = 1e-6
-    da = (theta(ARITHMETIC_MEAN, a + h, b) - theta(ARITHMETIC_MEAN, a - h, b)) / (2 * h)
-    db = (theta(ARITHMETIC_MEAN, a, b + h) - theta(ARITHMETIC_MEAN, a, b - h)) / (2 * h)
+    mean = ARITHMETIC_MEAN.theta_values
+    da = (mean(a + h, b, 0.0) - mean(a - h, b, 0.0)) / (2 * h)
+    db = (mean(a, b + h, 0.0) - mean(a, b - h, 0.0)) / (2 * h)
     pa, pb = ARITHMETIC_MEAN.theta_density_partials(a, b, 0.0)
     assert da == pytest.approx(pa, abs=1e-10)
     assert db == pytest.approx(pb, abs=1e-10)

@@ -18,7 +18,6 @@ from graph_ot import (
     read_artifact,
     read_density_file,
     run_scenario,
-    trajectory_from_artifact,
     write_artifact,
 )
 from graph_ot.scenarios import _classify
@@ -148,12 +147,10 @@ def test_solve_artifact_round_trips_bitwise(tmp_path, triangle_file, density_fil
             out=str(out),
         )
     )
-    traj = trajectory_from_artifact(read_artifact(out))
+    written = read_artifact(out)["trajectory"]
     solved = run.reports[0].trajectory
-    np.testing.assert_array_equal(traj.densities, solved.densities)
-    np.testing.assert_array_equal(traj.tree_velocities, solved.tree_velocities)
-    np.testing.assert_array_equal(traj.edge_velocities, solved.edge_velocities)
-    np.testing.assert_array_equal(traj.times, solved.times)
+    for name in ("times", "densities", "tree_velocities", "edge_velocities"):
+        np.testing.assert_array_equal(np.array(written[name]), getattr(solved, name))
 
 
 def test_solve_requires_graph(density_files):

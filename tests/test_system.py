@@ -108,6 +108,20 @@ def test_divergence_zero_velocity(two_node):
     np.testing.assert_array_equal(div, [0.0, 0.0])
 
 
+def test_divergence_stacks_levels():
+    g = dumbbell(3, 3)
+    rng = np.random.Generator(np.random.PCG64(8))
+    rho = rng.random((4, g.node_count))
+    v = rng.normal(0.0, 1.0, (4, g.edge_count))
+    for model in (ARITHMETIC_MEAN, UPWIND):
+        rows = [divergence(g, r, w, model) for r, w in zip(rho, v)]
+        np.testing.assert_array_equal(divergence(g, rho, v, model), rows)
+    with pytest.raises(DimensionMismatchError):
+        divergence(g, rho, v[:3])
+    with pytest.raises(DimensionMismatchError):
+        divergence(g, rho[:, :-1], v)
+
+
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=30, deadline=None)
 def test_divergence_sums_to_zero(n, seed):
