@@ -101,8 +101,11 @@ class SolveConfig:
     def __post_init__(self):
         if not 0.0 < self.tolerance < np.inf:
             raise InputFormatError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise InputFormatError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not float(self.max_iterations).is_integer() or self.max_iterations < 1:
+            raise InputFormatError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations}"
+            )
+        self.max_iterations = int(self.max_iterations)
 
 
 @dataclass
@@ -193,14 +196,14 @@ class _JacobianTemplate:
     shifted back by N-1: the potentials and densities of time level l+1,
     then those of level l+2, except that the first level's potentials S^1
     take columns 0..N-2, where the fixed densities mu would be.  Entry k of
-    level l sits in column ``columns[l, k]``, held for all M levels in the
-    index dtype of the CSR matrix the assembly returns.  Entry k's value is
-    ``constants[k]`` plus the level's edge terms times column k of
-    ``operator``.  Entries are sorted by row and column, so the levels laid
-    out one after another are in CSR order.
+    level l sits in column ``columns[k] + 2(N-1) l``, plus N-1 for S^1;
+    ``columns`` holds one level, in the index dtype of the CSR matrix the
+    assembly returns.  Entry k's value is ``constants[k]`` plus the level's
+    edge terms times column k of ``operator``.  Entries are sorted by row
+    and column, so the levels laid out one after another are in CSR order.
     """
 
-    columns: np.ndarray  # (M, entries)
+    columns: np.ndarray  # level 0's, S^1 unshifted: -(N-1) .. 3(N-1) - 1
     constants: np.ndarray
     operator: sp.csr_matrix  # (_EDGE_TERMS * E, entries)
     structural: np.ndarray  # stored even where the value is zero
@@ -317,10 +320,8 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
     # the CSR index dtype of a matrix of this size with up to M x entries
     largest = max(state_size(problem), m * entry.size)
     index = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
-    columns = cols.astype(index) + (2 * n1 * np.arange(m, dtype=index))[:, None]
-    columns[0, cols < 0] += n1  # S^1 takes the place of mu
     return _JacobianTemplate(
-        columns=columns,
+        columns=cols.astype(index),
         constants=constants,
         operator=operator,
         structural=structural,
@@ -377,8 +378,16 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
     np.cumsum(counts, out=indptr[1:])
     data = values[keep]
     del values
-    indices = t.columns[keep]
+    indices = np.broadcast_to(t.columns, keep.shape)[keep]
     del keep
+    # level l's entries lie 2(N-1) l columns on; S^1 takes the columns of mu
+    n1 = g.node_count - 1
+    width = 2 * n1
+    indices += np.repeat(
+        np.arange(0, m * width, width, dtype=indices.dtype), np.diff(indptr[::width])
+    )
+    first = indices[: indptr[width]]
+    first[first < 0] += n1
     size = state_size(problem)
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
@@ -440,15 +449,15 @@ def _level_blocks(a11: sp.csr_matrix, a12: sp.csr_matrix):
 
 
 def _sweep_schur(
-    a11: sp.csr_matrix, a12: sp.csr_matrix, a21: sp.csr_matrix, a22: sp.csr_matrix
+    a11: sp.csr_matrix, levels: tuple, a21: sp.csr_matrix, a22: sp.csr_matrix
 ) -> np.ndarray:
     """K = A21 - A22 A12^-1 A11 by block forward substitution in time.
 
     Level k = 0, 1, ... holds rows and columns 2(N-1)k .. 2(N-1)(k+1) - 1
-    of A12, N-1 of them at the last level.  A12 must be block lower
-    bidiagonal: the identity on its diagonal, as the Newton matrix has it,
-    and one sub-diagonal block L_k per level; A11 must lie in the rows of
-    level 0.  Any other pattern raises ValueError.
+    of A12, N-1 of them at the last level.  A12 is block lower bidiagonal,
+    with the identity on its diagonal and one sub-diagonal block L_k per
+    level, and A11 lies in the rows of level 0: ``levels`` is
+    ``_level_blocks(a11, a12)``, which checks that pattern.
 
     Y_0 = A11 and Y_k = -L_k Y_{k-1}, one sparse x dense product per level,
     and only the levels that A22 touches are multiplied into K.  K is
@@ -456,17 +465,22 @@ def _sweep_schur(
     which stay near the cache and bound the sweep's memory whatever the
     graph.  A panel of Y moves between two buffers allocated once, and each
     product runs scipy's CSR kernel ``csr_matvecs`` (Y += A X) on slices of
-    ``_level_blocks``' one CSR triple, so the loop over the levels
-    allocates nothing.  The negated columns of A22 accumulate into K
-    from zero, or into one panel of K when K is formed in column chunks,
+    the one CSR triple ``levels``, so the loop over the levels allocates
+    nothing.  The negated columns of A22 accumulate into K from zero,
     and A21 is added last: each entry is the sum ``A21 - A22 @ Y`` would
     form, term by term in the same order, whenever A22 touches one level,
     as the terminal density rows of the Newton matrix do.
+
+    In one panel, K is the panel, in C order.  In several, each panel
+    accumulates in a buffer of its own, copied into its columns of a K in
+    Fortran order, which LAPACK's LU overwrites in place where it would
+    copy a C-ordered K: a second K, 134 MB at 64x64.  One panel's K is at
+    most 1 MB, and its copy comes once the sweep's buffers are gone.
     """
     top, n1 = a11.shape
     width = 2 * n1
     touched = np.unique(a22.indices // width).tolist()
-    ptr, indices, data = _level_blocks(a11, a12)
+    ptr, indices, data = levels
     if not touched:
         return a21.toarray()
     a22_levels = {k: -a22[:, k * width : (k + 1) * width] for k in touched}
@@ -474,7 +488,7 @@ def _sweep_schur(
     rows = min(width, top)  # of level 0: all of A12's rows when M = 1
     chunk = min(n1, max(1, _SCHUR_CHUNK_BYTES // (8 * width)))
     y, spare = np.empty(rows * chunk), np.empty(rows * chunk)
-    schur = np.zeros((n1, n1))
+    schur = np.zeros((n1, n1), order="C" if chunk == n1 else "F")
     panel = schur.ravel() if chunk == n1 else np.empty(n1 * chunk)
     for j in range(0, n1, chunk):
         c = min(chunk, n1 - j)
@@ -538,24 +552,38 @@ class _CondensedFactor:
     level make it slower, by 1-2 ms, which no workload resolves, so it is
     the only way K is formed.  A12's factor serves every solve.
 
+    The factor assembles J^ at the state x itself, through
+    ``assemble_jacobian_analytic``: a J^ passed in would stay referenced by
+    the call until the factor is built.  So it holds one copy of the
+    matrix's entries at a time: J^ until it is split into the four blocks,
+    A12's CSR slice until its CSC and ``_level_blocks``' negated triple are
+    made, then the CSC until SuperLU has factored it.  The sweep holds
+    SuperLU's factor, the triple, two panel buffers and K.  Solves need
+    A11, A22 and the two factors.  With ``norm`` set, ``norm1`` is
+    ||J^||_1, which reads J^ whole, for the rcond estimate; else None.
+
     An exactly zero column of K makes the matrix exactly singular and
     raises SingularJacobianError.  Any other zero pivot of K,
     or a non-finite K, leaves the factor ``singular``: every solve then
     returns NaN, so the step is reported as non-finite instead of raised.
     """
 
-    def __init__(self, problem: TransportProblem, matrix: sp.spmatrix):
+    def __init__(self, problem: TransportProblem, x: np.ndarray, norm: bool = False):
         m = problem.steps
         n1 = problem.graph.node_count - 1
         top = 2 * m * n1 - n1
-        matrix = sp.csr_matrix(matrix)
+        matrix = assemble_jacobian_analytic(problem, x)
+        self.norm1 = spla.norm(matrix, 1) if norm else None
         self.a11, a12 = matrix[:top, :n1], matrix[:top, n1:]
         a21, self.a22 = matrix[top:, :n1], matrix[top:, n1:]
+        del matrix
+        levels = _level_blocks(self.a11, a12)
+        a12 = a12.tocsc()
         try:
             # natural order with diagonal pivots keeps the triangle: no fill;
             # a triangle has no column updates for a panel to block
             self.a12_lu = spla.splu(
-                a12.tocsc(),
+                a12,
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
                 panel_size=1,
@@ -565,8 +593,10 @@ class _CondensedFactor:
             raise SingularJacobianError(
                 f"Jacobian factorization failed: {exc}"
             ) from exc
+        del a12
 
-        schur = _sweep_schur(self.a11, a12, a21, self.a22)
+        schur = _sweep_schur(self.a11, levels, a21, self.a22)
+        del levels, a21
         zero_columns = np.flatnonzero(~schur.any(axis=0))
         if zero_columns.size:
             raise SingularJacobianError(
@@ -601,8 +631,8 @@ class _CondensedFactor:
         )
 
 
-def _rcond_estimate(matrix: sp.csr_matrix, lu: _CondensedFactor) -> float | None:
-    """1 / (norm1(J) * est(norm1(J^-1))) from the existing factorization.
+def _rcond_estimate(lu: _CondensedFactor) -> float | None:
+    """1 / (norm1(J) * est(norm1(J^-1))) from a factor built with ``norm``.
 
     A factor with a zero pivot has found J singular: 0.  The estimate runs
     from a fixed seed and leaves the caller's global generator as it was.
@@ -610,10 +640,9 @@ def _rcond_estimate(matrix: sp.csr_matrix, lu: _CondensedFactor) -> float | None
     if lu.singular:
         return 0.0
     try:
-        norm1 = spla.norm(matrix, 1)
-        if norm1 == 0.0:
+        if lu.norm1 == 0.0:
             return 0.0
-        n = matrix.shape[0]
+        n = lu.a11.shape[0] + lu.a22.shape[0]
         inverse = spla.LinearOperator(
             (n, n),
             matvec=lu.solve,
@@ -631,7 +660,7 @@ def _rcond_estimate(matrix: sp.csr_matrix, lu: _CondensedFactor) -> float | None
             inv_norm1 = spla.onenormest(inverse)
         finally:
             np.random.set_state(state)
-        return float(1.0 / (norm1 * inv_norm1))
+        return float(1.0 / (lu.norm1 * inv_norm1))
     except Exception:  # estimation is best-effort diagnostics only
         logger.debug("reciprocal-condition estimate failed", exc_info=True)
         return None
@@ -746,19 +775,23 @@ def newton_solve(
 
         fresh = not keep_factor
         if fresh:
-            # one factor alive at a time: the last one and its matrix go first
-            lu = None
-            matrix = assemble_jacobian_analytic(problem, x)
+            lu = None  # one factor alive at a time: the last one goes first
             try:
-                lu = _CondensedFactor(problem, matrix)
+                # ||J^||_1 only for the factor whose rcond is estimated
+                lu = _CondensedFactor(problem, x, norm=rcond is None)
             except SingularJacobianError:
                 status = "singular_jacobian"
                 if rcond is None:
-                    rcond = 0.0
+                    rcond = 0.0  # found singular: nothing to estimate
                 break
             if rcond is None:
-                rcond = _rcond_estimate(matrix, lu)
-            del matrix  # the factor holds the blocks its solves need
+                rcond = _rcond_estimate(lu)
+                if rcond is not None and rcond < _RCOND_WARN:
+                    logger.warning(
+                        "Jacobian reciprocal-condition estimate %.3e below %.1e",
+                        rcond,
+                        _RCOND_WARN,
+                    )
             step = _correction(problem, lu, residual)
         else:
             step = previous[1]
@@ -803,13 +836,6 @@ def newton_solve(
         history.append(norm)
         factors.append(lam)
         refreshed.append(fresh)
-
-    if rcond is not None and rcond < _RCOND_WARN:
-        logger.warning(
-            "Jacobian reciprocal-condition estimate %.3e below %.1e",
-            rcond,
-            _RCOND_WARN,
-        )
 
     trajectory = unpack(problem, x)
     m = problem.steps

@@ -1,3 +1,4 @@
+import gc
 import logging
 import tracemalloc
 import weakref
@@ -11,6 +12,7 @@ import graph_ot.newton
 from graph_ot import (
     ARITHMETIC_MEAN,
     DimensionMismatchError,
+    InputFormatError,
     SolveConfig,
     SpanningTree,
     TransportProblem,
@@ -70,10 +72,11 @@ def dumbbell_problem(model=ARITHMETIC_MEAN, steps=8):
         {"tolerance": float("nan")},
         {"tolerance": float("inf")},
         {"max_iterations": 0},
+        {"max_iterations": 2.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputFormatError):
         SolveConfig(**kwargs)
 
 
@@ -608,13 +611,12 @@ def test_condensed_factor_matches_full_lu(make, ties, monkeypatch):
     n1 = p.graph.node_count - 1
     rng = np.random.Generator(np.random.PCG64(12))
     for x in edge_case_iterates(p, ties, count=3):
-        matrix = assemble_jacobian_analytic(p, x)
-        factors = [_CondensedFactor(p, matrix)]
+        factors = [_CondensedFactor(p, x)]
         with monkeypatch.context() as patch:
             # K formed two columns at a time
             patch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 32 * n1)
-            factors.append(_CondensedFactor(p, matrix))
-        full = spla.splu(matrix.tocsc())
+            factors.append(_CondensedFactor(p, x))
+        full = spla.splu(assemble_jacobian_analytic(p, x).tocsc())
         for b in (rng.normal(size=size), rng.normal(size=(size, 3))):
             for trans in ("N", "T"):
                 want = full.solve(b, trans=trans)
@@ -636,7 +638,7 @@ def schur_complement(p, x, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(graph_ot.newton, "_getrf", recording)
-        _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+        _CondensedFactor(p, x)
     return seen[0]
 
 
@@ -675,6 +677,12 @@ def condensed_blocks(p, x):
     top = state_size(p) - n1
     j = assemble_jacobian_analytic(p, x)
     return j[:top, :n1], j[:top, n1:], j[top:, :n1], j[top:, n1:]
+
+
+def sweep_schur(a11, a12, a21, a22):
+    """K by the level sweep, from A12's negated level triple."""
+    levels = graph_ot.newton._level_blocks(a11, a12)
+    return graph_ot.newton._sweep_schur(a11, levels, a21, a22)
 
 
 def textbook_schur(a11, a12, a21, a22):
@@ -734,7 +742,7 @@ def test_sweep_equals_textbook_recursion_bitwise(make, steps):
     second = pack(p, newton_solve(p, config=SolveConfig(max_iterations=1)).trajectory)
     for x in (first, second):
         blocks = condensed_blocks(p, x)
-        assert np.array_equal(graph_ot.newton._sweep_schur(*blocks), textbook_schur(*blocks))
+        assert np.array_equal(sweep_schur(*blocks), textbook_schur(*blocks))
 
 
 @sweep_problems
@@ -749,6 +757,25 @@ def test_schur_complement_same_in_narrow_panels(make, steps, monkeypatch):
         assert columns == 1 or n1 % columns  # a narrower last panel
         monkeypatch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 16 * n1 * columns)
         assert np.array_equal(schur_complement(p, x, monkeypatch), whole)
+
+
+def test_schur_complement_in_panels_is_factored_in_place(monkeypatch):
+    # formed two columns at a time, K is in Fortran order, which LAPACK's LU
+    # overwrites in place where it would copy a C-ordered K
+    p = gaussian_grid_problem()
+    n1 = p.graph.node_count - 1
+    monkeypatch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 32 * n1)
+    getrf = graph_ot.newton._getrf
+    in_place = []
+
+    def recording(a, overwrite_a=False):
+        lu, pivots, info = getrf(a, overwrite_a=overwrite_a)
+        in_place.append(np.shares_memory(lu, a))
+        return lu, pivots, info
+
+    monkeypatch.setattr(graph_ot.newton, "_getrf", recording)
+    _CondensedFactor(p, default_initial_guess(p))
+    assert in_place == [True]
 
 
 def test_sweep_level_loop_allocates_nothing(monkeypatch):
@@ -783,7 +810,7 @@ def test_sweep_level_loop_allocates_nothing(monkeypatch):
         monkeypatch.setattr(graph_ot.newton, "csr_matvecs", recording)
         tracemalloc.start()
         try:
-            graph_ot.newton._sweep_schur(*blocks[steps])
+            sweep_schur(*blocks[steps])
         finally:
             tracemalloc.stop()
         assert len(calls) == steps - 1  # one per level but the last, and K's
@@ -835,7 +862,7 @@ def test_triangular_factor_without_panels_solves_bitwise_alike(make, monkeypatch
     a12 = condensed_blocks(p, x)[1].tocsc()
     with monkeypatch.context() as patch:
         patch.setattr(graph_ot.newton.spla, "splu", recording)
-        _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+        _CondensedFactor(p, x)
     assert len(calls) == 1 and calls[0]["panel_size"] == 1
     options = {k: v for k, v in calls[0].items() if k != "panel_size"}
     lean, default = splu(a12, panel_size=1, **options), splu(a12, **options)
@@ -899,9 +926,9 @@ def test_newton_solve_holds_one_factor_at_a_time(damping, monkeypatch):
         return matrix
 
     class RecordingFactor(_CondensedFactor):
-        def __init__(self, problem, matrix):
+        def __init__(self, problem, x, norm=False):
             assert all(ref() is None for ref in factors)
-            super().__init__(problem, matrix)
+            super().__init__(problem, x, norm)
             factors.append(weakref.ref(self))
 
     monkeypatch.setattr(graph_ot.newton, "assemble_jacobian_analytic", recording_assembly)
@@ -909,6 +936,59 @@ def test_newton_solve_holds_one_factor_at_a_time(damping, monkeypatch):
     report = newton_solve(dumbbell_problem(), config=SolveConfig(damping=damping))
     assert report.converged and report.iterations >= 3
     assert len(factors) == len(matrices) == report.jacobian_refreshed.sum() >= 2
+
+
+@pytest.mark.parametrize("damping", [False, True], ids=["undamped", "damped"])
+def test_newton_matrix_is_gone_before_superlu_runs(damping, monkeypatch):
+    # J^ is split into its four blocks and dropped before SuperLU factors
+    # A12, at the first factorization, whose rcond is estimated, and at
+    # every later one
+    p = dumbbell_problem()  # its tree factors through splu too
+    matrices, gone = [], []
+    assemble, splu = graph_ot.newton.assemble_jacobian_analytic, spla.splu
+
+    def recording_assembly(problem, x):
+        matrix = assemble(problem, x)
+        matrices.append(weakref.ref(matrix))
+        return matrix
+
+    def checking_splu(matrix, **kwargs):
+        gone.append(matrices[-1]() is None)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(graph_ot.newton, "assemble_jacobian_analytic", recording_assembly)
+    monkeypatch.setattr(graph_ot.newton.spla, "splu", checking_splu)
+    report = newton_solve(p, config=SolveConfig(damping=damping))
+    assert report.converged and report.jacobian_rcond > 0.0
+    assert len(gone) == len(matrices) == report.jacobian_refreshed.sum() >= 2
+    assert all(gone)
+
+
+def test_sweep_holds_no_copy_of_the_triangular_block(monkeypatch):
+    # at the sweep's first kernel call no sparse matrix of J^'s or A12's
+    # shape is reachable: A12's CSR slice went once its level triple and
+    # CSC were made, and the CSC once SuperLU had factored it
+    p = gaussian_grid_problem()
+    n1 = p.graph.node_count - 1
+    size = state_size(p)
+    kernel = graph_ot.newton.csr_matvecs
+    held = []
+
+    def recording(*args):
+        if not held:
+            gc.collect()
+            held.append(
+                [
+                    (o.format, o.shape)
+                    for o in gc.get_objects()
+                    if sp.issparse(o) and o.shape in ((size, size), (size - n1, size - n1))
+                ]
+            )
+        return kernel(*args)
+
+    monkeypatch.setattr(graph_ot.newton, "csr_matvecs", recording)
+    _CondensedFactor(p, default_initial_guess(p))
+    assert held == [[]]
 
 
 @pytest.mark.parametrize(
@@ -923,7 +1003,7 @@ def test_step_in_potentials_equals_tree_gauge_step(make, ties):
     for x in edge_case_iterates(p, ties, count=3):
         residual = assemble_residual(p, x)
         want = spla.splu(loop_jacobian(p, x).tocsc()).solve(residual)
-        factor = _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+        factor = _CondensedFactor(p, x)
         rows = graph_ot.newton._to_nodal_rows(p, residual)
         got = graph_ot.newton._from_potentials(p, factor.solve(rows))
         gap = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -1024,11 +1104,12 @@ def doctored(p, row_level, col_level, field, node=2):
         "non-unit diagonal",
     ],
 )
-def test_sweep_rejects_other_block_patterns(row_level, col_level, field, node):
+def test_sweep_rejects_other_block_patterns(row_level, col_level, field, node, monkeypatch):
     p = dumbbell_problem(steps=4)
     matrix = doctored(p, row_level, col_level, field, node)
+    monkeypatch.setattr(graph_ot.newton, "assemble_jacobian_analytic", lambda problem, x: matrix)
     with pytest.raises(ValueError, match="block lower bidiagonal"):
-        _CondensedFactor(p, matrix)
+        _CondensedFactor(p, default_initial_guess(p))
 
 
 @pytest.mark.parametrize(
@@ -1131,6 +1212,22 @@ def test_jacobian_template_is_built_once_and_assembly_repeats(monkeypatch):
     assert len(built) == 2 and built[1] is other
 
 
+def test_jacobian_template_holds_one_level_of_columns():
+    # the template keeps one level's column indices whatever M; each level
+    # adds its offset, and the first its S^1 shift, as J^ is assembled
+    g = lattice_2d_periodic(6, 6, 4.0, -1.0)
+    mu = gaussian_density_2d(g, 2, 2, 0.5, 1.5, 1, 1e-2)
+    nu = gaussian_density_2d(g, 2, 2, 1.5, 1.3, 1, 1e-2)
+    sizes = set()
+    for steps in (1, 4, 16):
+        p = TransportProblem(g, mu, nu, steps)
+        assemble_jacobian_analytic(p, default_initial_guess(p))
+        template = p._jacobian_template
+        assert template.columns.shape == template.constants.shape
+        sizes.add(template.columns.size)
+    assert len(sizes) == 1
+
+
 def test_fd_jacobian_exact_on_linear_system():
     # the 2-node mean residual is linear, so forward differences are exact
     # up to rounding
@@ -1223,7 +1320,7 @@ def test_singular_jacobian_is_reported():
     g = build_from_edge_list([(1, 2, 1.0)])
     p = TransportProblem(g, np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1, model=UPWIND)
     with pytest.raises(SingularJacobianError):
-        _CondensedFactor(p, assemble_jacobian_analytic(p, np.zeros(2)))
+        _CondensedFactor(p, np.zeros(2))
     report = newton_solve(p, x0=np.zeros(2))
     assert report.status == "singular_jacobian"
     assert not report.converged
@@ -1265,7 +1362,7 @@ def assert_steps_pass_monotonicity(p, iterates, report):
         iterates, iterates[1:], report.damping_factors, report.jacobian_refreshed
     ):
         if fresh:
-            lu = _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+            lu = _CondensedFactor(p, x)
         step = _correction(p, lu, assemble_residual(p, x))
         np.testing.assert_allclose(x_next, x + lam * step, rtol=0, atol=1e-15)
         simplified = _correction(p, lu, assemble_residual(p, x_next))
@@ -1303,7 +1400,7 @@ def test_without_reuse_every_step_is_a_newton_step(damping, monkeypatch):
     assert report.jacobian_refreshed.all()
     x = default_initial_guess(p)
     for lam, norm in zip(report.damping_factors, report.residual_history[1:]):
-        lu = _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+        lu = _CondensedFactor(p, x)
         x = x + lam * _correction(p, lu, assemble_residual(p, x))
         assert np.linalg.norm(assemble_residual(p, x)) == norm
     np.testing.assert_array_equal(x, pack(p, report.trajectory))
@@ -1330,7 +1427,7 @@ def test_undamped_kept_factor_steps_replay():
             rejected = _correction(p, lu, assemble_residual(p, x + simplified))
             assert not np.linalg.norm(rejected) < 0.75 * np.linalg.norm(simplified)
         if fresh:
-            lu = _CondensedFactor(p, assemble_jacobian_analytic(p, x))
+            lu = _CondensedFactor(p, x)
             step = _correction(p, lu, assemble_residual(p, x))
         else:
             assert keep
@@ -1436,6 +1533,22 @@ def test_ill_conditioning_warning_logged(caplog, monkeypatch):
     with caplog.at_level(logging.WARNING, logger="graph_ot.newton"):
         newton_solve(p)
     assert any("reciprocal-condition" in r.message for r in caplog.records)
+
+
+def test_singular_first_factor_logs_no_estimate(caplog):
+    # disjoint supports on a ring, upwind: the first factorization finds J
+    # exactly singular, so nothing was estimated and nothing is logged as
+    # an estimate, while the report records rcond 0
+    ring = 32
+    g = build_from_edge_list([(i, i % ring + 1, 1.0) for i in range(1, ring + 1)])
+    mu = np.zeros(ring)
+    mu[:8] = 1.0 / 8.0
+    p = TransportProblem(g, mu, np.roll(mu, ring // 2), 32, model=UPWIND)
+    with caplog.at_level(logging.DEBUG, logger="graph_ot.newton"):
+        report = newton_solve(p)
+    assert report.status == "singular_jacobian" and report.iterations == 0
+    assert report.jacobian_rcond == 0.0
+    assert not any("reciprocal-condition" in r.message for r in caplog.records)
 
 
 # -- cfl ------------------------------------------------------------------------

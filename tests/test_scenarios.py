@@ -224,6 +224,22 @@ def test_default_artifact_name(tmp_path, monkeypatch, triangle_file, density_fil
     assert (tmp_path / "graph_ot_solve.json").exists()
 
 
+def test_fractional_iteration_cap_is_rejected(tmp_path, triangle_file, density_files):
+    mu, nu = density_files
+    out = tmp_path / "capped.json"
+    spec = ScenarioSpec(
+        scenario="solve",
+        graph_file=str(triangle_file),
+        mu_file=str(mu),
+        nu_file=str(nu),
+        max_iterations=2.5,
+        out=str(out),
+    )
+    with pytest.raises(InputFormatError, match="max_iterations"):
+        run_scenario(spec)
+    assert not out.exists()
+
+
 def test_non_convergence_exit_code(tmp_path, triangle_file, density_files):
     mu, nu = density_files
     run = run_scenario(
