@@ -7,174 +7,22 @@ is discretized in time and solved by Newton's method on a reduced set of
 unknowns (one eliminated density per level, spanning-tree velocities).
 """
 
-from .errors import (
-    DimensionMismatchError,
-    DisconnectedGraphError,
-    DuplicateEdgeError,
-    EdgeNotInGraphError,
-    GraphConstructionError,
-    GraphOTError,
-    InputFormatError,
-    InvalidDensityError,
-    NegativeDensityError,
-    NodeOutOfRangeError,
-    NonpositiveWeightError,
-    NonSquareGridError,
-    NotA1DLatticeError,
-    NotA2DLatticeError,
-    NotATreeError,
-    SelfLoopError,
-    TooFewNodesError,
-)
-from .graph import (
-    Lattice1D,
-    Lattice2D,
-    WeightedGraph,
-    build_from_edge_list,
-    complete_graph,
-    dumbbell,
-    lattice_1d_periodic,
-    lattice_2d_periodic,
-    read_edge_list,
-)
-from .tree import SpanningTree, kruskal, read_tree_file
-from .mobility import (
-    ARITHMETIC_MEAN,
-    MOBILITIES,
-    UPWIND,
-    ArithmeticMean,
-    Mobility,
-    Upwind,
-    get_mobility,
-)
-from .system import (
-    TransportProblem,
-    Trajectory,
-    assemble_residual,
-    divergence,
-    explicit_upwind_update,
-    level_fields,
-    pack,
-    pack_fields,
-    state_size,
-    unpack,
-)
-from .newton import (
-    SolveConfig,
-    SolveReport,
-    assemble_jacobian_analytic,
-    check_cfl,
-    default_initial_guess,
-    newton_solve,
-)
-from .metrics import (
-    hamiltonian_drift,
-    map_error_1d,
-    w2_action,
-    w2_initial,
-)
-from .generators import (
-    BENCHMARK_1D_W2,
-    benchmark_1d_exact_map,
-    benchmark_1d_map_densities,
-    gaussian_density_1d,
-    gaussian_density_2d,
-    random_connected_graph,
-    seeded_random_density,
-    uniform_density,
-)
-from .scenarios import (
-    EXIT_INPUT_ERROR,
-    EXIT_INVARIANT_VIOLATION,
-    EXIT_NOT_CONVERGED,
-    EXIT_OK,
-    SCENARIOS,
-    ScenarioRun,
-    ScenarioSpec,
-    five_node_example,
-    read_artifact,
-    read_density_file,
-    run_scenario,
-    write_artifact,
-)
+from .errors import *
+from .graph import *
+from .tree import *
+from .mobility import *
+from .system import *
+from .newton import *
+from .metrics import *
+from .generators import *
+from .scenarios import *
+from . import errors, graph, tree, mobility, system, newton, metrics, generators, scenarios
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARITHMETIC_MEAN",
-    "ArithmeticMean",
-    "BENCHMARK_1D_W2",
-    "DimensionMismatchError",
-    "DisconnectedGraphError",
-    "DuplicateEdgeError",
-    "EXIT_INPUT_ERROR",
-    "EXIT_INVARIANT_VIOLATION",
-    "EXIT_NOT_CONVERGED",
-    "EXIT_OK",
-    "EdgeNotInGraphError",
-    "GraphConstructionError",
-    "GraphOTError",
-    "InputFormatError",
-    "InvalidDensityError",
-    "Lattice1D",
-    "Lattice2D",
-    "MOBILITIES",
-    "Mobility",
-    "NegativeDensityError",
-    "NodeOutOfRangeError",
-    "NonSquareGridError",
-    "NonpositiveWeightError",
-    "NotA1DLatticeError",
-    "NotA2DLatticeError",
-    "NotATreeError",
-    "SCENARIOS",
-    "ScenarioRun",
-    "ScenarioSpec",
-    "SelfLoopError",
-    "SolveConfig",
-    "SolveReport",
-    "SpanningTree",
-    "TooFewNodesError",
-    "Trajectory",
-    "TransportProblem",
-    "UPWIND",
-    "Upwind",
-    "WeightedGraph",
-    "assemble_jacobian_analytic",
-    "assemble_residual",
-    "benchmark_1d_exact_map",
-    "benchmark_1d_map_densities",
-    "build_from_edge_list",
-    "check_cfl",
-    "complete_graph",
-    "default_initial_guess",
-    "divergence",
-    "dumbbell",
-    "explicit_upwind_update",
-    "five_node_example",
-    "gaussian_density_1d",
-    "gaussian_density_2d",
-    "get_mobility",
-    "hamiltonian_drift",
-    "kruskal",
-    "lattice_1d_periodic",
-    "lattice_2d_periodic",
-    "level_fields",
-    "map_error_1d",
-    "newton_solve",
-    "pack",
-    "pack_fields",
-    "random_connected_graph",
-    "read_artifact",
-    "read_density_file",
-    "read_edge_list",
-    "read_tree_file",
-    "run_scenario",
-    "seeded_random_density",
-    "state_size",
-    "uniform_density",
-    "unpack",
-    "w2_action",
-    "w2_initial",
-    "write_artifact",
-]
+# each public name is listed once, in the __all__ of the module defining it
+__all__ = sorted(
+    name
+    for module in (errors, graph, tree, mobility, system, newton, metrics, generators, scenarios)
+    for name in module.__all__
+)

@@ -10,6 +10,7 @@ environment variable sets the logging level (e.g. DEBUG, INFO).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -126,7 +127,22 @@ def _configure_logging() -> None:
     )
 
 
+def _fix_mmap_threshold() -> None:
+    """Keep glibc's mmap threshold at its default of 128 KiB.
+
+    glibc raises the threshold after the first large free, so later factors
+    and Jacobians come from the heap and their freed space stays resident.
+    Fixed, every large block is returned to the system when freed.  Without
+    glibc this does nothing.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
+    except (OSError, AttributeError):
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
+    _fix_mmap_threshold()
     _configure_logging()
     parser = build_parser()
     try:

@@ -328,8 +328,6 @@ def complete_graph(node_count: int) -> WeightedGraph:
 
 # -- text format ----------------------------------------------------------
 
-_EDGE_HEADER = ("i", "j", "omega")
-
 
 def _data_lines(path: Path) -> list[tuple[int, str]]:
     lines = []
@@ -341,6 +339,37 @@ def _data_lines(path: Path) -> list[tuple[int, str]]:
     return lines
 
 
+def _read_edges(path: Path, headers: Sequence[tuple[str, ...]]) -> list[tuple]:
+    """Rows of a CSV edge file whose first data line is one of ``headers``.
+
+    Each row is (i, j) or (i, j, omega), as wide as the file's header, with
+    integer nodes and a float weight.  Blank lines and lines starting with
+    ``#`` are ignored; every error names the file and the line.
+    """
+    lines = _data_lines(path)
+    if not lines:
+        raise InputFormatError(f"{path}: no data lines")
+    lineno, header = lines[0]
+    fields = tuple(f.strip().lower() for f in header.split(","))
+    if fields not in headers:
+        accepted = " or ".join(f"'{','.join(h)}'" for h in headers)
+        raise InputFormatError(
+            f"{path}:{lineno}: expected header {accepted}, got {header!r}"
+        )
+    rows = []
+    for lineno, text in lines[1:]:
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != len(fields):
+            raise InputFormatError(
+                f"{path}:{lineno}: expected '{','.join(fields)}', got {text!r}"
+            )
+        try:
+            rows.append((int(parts[0]), int(parts[1]), *map(float, parts[2:])))
+        except ValueError as exc:
+            raise InputFormatError(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
 def read_edge_list(path: str | Path) -> WeightedGraph:
     """Read a graph from the ``i,j,omega`` CSV edge-list format.
 
@@ -348,26 +377,7 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
     line must be the header ``i,j,omega``.
     """
     path = Path(path)
-    lines = _data_lines(path)
-    if not lines:
-        raise InputFormatError(f"{path}: no data lines")
-    lineno, header = lines[0]
-    fields = tuple(f.strip().lower() for f in header.split(","))
-    if fields != _EDGE_HEADER:
-        raise InputFormatError(
-            f"{path}:{lineno}: expected header 'i,j,omega', got {header!r}"
-        )
-    entries = []
-    for lineno, text in lines[1:]:
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 3:
-            raise InputFormatError(
-                f"{path}:{lineno}: expected 'i,j,omega', got {text!r}"
-            )
-        try:
-            entries.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{lineno}: {exc}") from None
+    entries = _read_edges(path, [("i", "j", "omega")])
     if not entries:
         raise InputFormatError(f"{path}: header but no edges")
     return build_from_edge_list(entries)

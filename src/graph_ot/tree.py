@@ -22,11 +22,10 @@ import scipy.sparse.linalg as spla
 from .errors import (
     DimensionMismatchError,
     EdgeNotInGraphError,
-    InputFormatError,
     NodeOutOfRangeError,
     NotATreeError,
 )
-from .graph import WeightedGraph, _data_lines
+from .graph import WeightedGraph, _read_edges
 
 __all__ = ["SpanningTree", "kruskal", "read_tree_file"]
 
@@ -221,28 +220,5 @@ def read_tree_file(path: str | Path, graph: WeightedGraph) -> SpanningTree:
     Accepts the header ``i,j`` or ``i,j,omega``; weights are taken from the
     graph, so a third column is validated for format only.
     """
-    path = Path(path)
-    lines = _data_lines(path)
-    if not lines:
-        raise InputFormatError(f"{path}: no data lines")
-    lineno, header = lines[0]
-    fields = tuple(f.strip().lower() for f in header.split(","))
-    if fields not in (("i", "j"), ("i", "j", "omega")):
-        raise InputFormatError(
-            f"{path}:{lineno}: expected header 'i,j' or 'i,j,omega', got {header!r}"
-        )
-    width = len(fields)
-    edges = []
-    for lineno, text in lines[1:]:
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != width:
-            raise InputFormatError(
-                f"{path}:{lineno}: expected {width} fields, got {text!r}"
-            )
-        try:
-            if width == 3:
-                float(parts[2])
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{lineno}: {exc}") from None
-    return SpanningTree(graph, edges)
+    rows = _read_edges(Path(path), [("i", "j"), ("i", "j", "omega")])
+    return SpanningTree(graph, [(i, j) for i, j, *_ in rows])

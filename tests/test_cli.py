@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from graph_ot import SolveConfig, read_artifact
+import graph_ot.cli
 from graph_ot.cli import _spec_from_args, build_parser, main
 
 
@@ -125,6 +126,30 @@ def test_normalize_flag(tmp_path, capsys, solve_args):
     assert main(argv + ["--normalize"]) == 0
     doc = read_artifact(out)
     assert doc["trajectory"]["densities"][0] == [0.5, 0.3, 0.2]
+
+
+def test_main_fixes_the_mmap_threshold(monkeypatch, capsys, solve_args):
+    calls = []
+
+    class LibC:
+        def mallopt(self, *args):
+            calls.append(args)
+
+    monkeypatch.setattr(graph_ot.cli.ctypes, "CDLL", lambda name: LibC())
+    argv, _ = solve_args
+    assert main(argv) == 0
+    assert calls == [(-3, 131072)]
+
+
+@pytest.mark.parametrize("error", [AttributeError, OSError])
+def test_main_runs_without_mallopt(monkeypatch, capsys, solve_args, error):
+    def cdll(name):
+        raise error("no mallopt")
+
+    monkeypatch.setattr(graph_ot.cli.ctypes, "CDLL", cdll)
+    argv, out = solve_args
+    assert main(argv) == 0
+    assert read_artifact(out)["exit_code"] == 0
 
 
 # -- error surface -----------------------------------------------------------------

@@ -242,3 +242,10 @@ def test_edge_list_wrong_field_count(tmp_path):
     path.write_text("i,j,omega\n1,2\n")
     with pytest.raises(InputFormatError):
         read_edge_list(path)
+
+
+def test_edge_list_names_accepted_header(tmp_path):
+    path = tmp_path / "graph.csv"
+    path.write_text("i,j\n1,2\n")
+    with pytest.raises(InputFormatError, match=r"graph\.csv:1: .*'i,j,omega'"):
+        read_edge_list(path)

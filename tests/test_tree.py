@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from graph_ot import (
     DimensionMismatchError,
     EdgeNotInGraphError,
+    InputFormatError,
     NotATreeError,
     SpanningTree,
     build_from_edge_list,
@@ -256,4 +257,39 @@ def test_read_tree_file_rejects_non_tree(tmp_path, five_node):
     path = tmp_path / "tree.csv"
     path.write_text("i,j\n1,2\n2,3\n1,3\n4,5\n")
     with pytest.raises(NotATreeError):
+        read_tree_file(path, five_node)
+
+
+def test_read_tree_file_weight_column_is_ignored(tmp_path, five_node):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("i,j\n2,3\n3,4\n4,5\n1,5\n")
+    weighted = tmp_path / "weighted.csv"
+    weighted.write_text("i,j,omega\n2,3,7.5\n3,4,1e-3\n4,5,1\n1,5,0.25\n")
+    assert (
+        read_tree_file(weighted, five_node).tree_edges
+        == read_tree_file(plain, five_node).tree_edges
+    )
+
+
+def test_read_tree_file_rejects_non_numeric_weight(tmp_path, five_node):
+    path = tmp_path / "tree.csv"
+    path.write_text("i,j,omega\n2,3,1.0\n3,4,heavy\n4,5,1.0\n1,5,1.0\n")
+    with pytest.raises(InputFormatError, match=r":3"):
+        read_tree_file(path, five_node)
+
+
+@pytest.mark.parametrize(
+    "text", ["i,j\n2,3\n3,4,1.0\n", "i,j,omega\n2,3,1.0\n3,4\n"]
+)
+def test_read_tree_file_rejects_wrong_field_count(tmp_path, five_node, text):
+    path = tmp_path / "tree.csv"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match=r":3"):
+        read_tree_file(path, five_node)
+
+
+def test_read_tree_file_names_accepted_headers(tmp_path, five_node):
+    path = tmp_path / "tree.csv"
+    path.write_text("a,b\n2,3\n")
+    with pytest.raises(InputFormatError, match=r"'i,j' or 'i,j,omega'"):
         read_tree_file(path, five_node)
