@@ -3,12 +3,18 @@
 A scenario bundles a graph source, endpoint densities, and solver options
 into one reproducible run.  Every run writes a single JSON document with a
 versioned schema: resolved config, graph summary, solver diagnostics, the
-full trajectory arrays, and scenario-specific extras.  Arrays round-trip
-bitwise through the writer and reader.
+full trajectory arrays, and scenario-specific extras.  Schema ``graph-ot/2``
+writes each trajectory array as ``{"dtype": "<f8", "shape": [...], "data":
+...}``, ``data`` being the base64 of its little-endian float64 bytes in C
+order, the layout a NumPy ``.npy`` header records; every other field is a
+plain JSON value.  The reader turns that layout back into arrays, so arrays
+round-trip bitwise, and still reads ``graph-ot/1``, which wrote them as lists.
 """
 
 from __future__ import annotations
 
+import base64
+import errno
 import itertools
 import json
 import logging
@@ -65,7 +71,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ARTIFACT_SCHEMA = "graph-ot/1"
+ARTIFACT_SCHEMA = "graph-ot/2"
 _MASS_MONITOR_TOL = 1e-10
 
 EXIT_OK = 0
@@ -449,20 +455,36 @@ def _solve_document(
             "hamiltonian_drift": hamiltonian_drift(trajectory, graph, problem.model),
         },
         "trajectory": {
-            "times": trajectory.times.tolist(),
-            "densities": trajectory.densities.tolist(),
-            "tree_velocities": trajectory.tree_velocities.tolist(),
-            "edge_velocities": trajectory.edge_velocities.tolist(),
+            "times": trajectory.times,
+            "densities": trajectory.densities,
+            "tree_velocities": trajectory.tree_velocities,
+            "edge_velocities": trajectory.edge_velocities,
         },
     }
 
 
+def _encode_array(value) -> dict:
+    """A float64 array's JSON layout; json.dumps calls it for what it cannot write."""
+    if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    data = np.ascontiguousarray(value, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(data.shape), "data": base64.b64encode(data).decode("ascii")}
+
+
+def _decode_array(obj: dict):
+    """The array an object in _encode_array's layout holds; any other object as it is."""
+    if obj.keys() != {"dtype", "shape", "data"} or obj["dtype"] != "<f8":
+        return obj
+    data = bytearray(base64.b64decode(obj["data"]))  # a bytearray makes the array writable
+    return np.frombuffer(data, dtype="<f8").reshape(obj["shape"])
+
+
 def write_artifact(document: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(document) + "\n")
+    Path(path).write_text(json.dumps(document, default=_encode_array) + "\n")
 
 
 def read_artifact(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(), object_hook=_decode_array)
 
 
 def _monitors_clean(report: SolveReport) -> bool:
@@ -680,10 +702,11 @@ SCENARIOS = {
 }
 
 
-def _finish(spec: ScenarioSpec, document: dict, reports: list[SolveReport]) -> ScenarioRun:
+def _finish(
+    spec: ScenarioSpec, document: dict, reports: list[SolveReport], out_path: Path
+) -> ScenarioRun:
     exit_code = _classify(reports)
     document["exit_code"] = exit_code
-    out_path = Path(spec.out) if spec.out else Path(f"graph_ot_{spec.scenario}.json")
     write_artifact(document, out_path)
     logger.info("scenario %s -> %s (exit %d)", spec.scenario, out_path, exit_code)
     return ScenarioRun(exit_code, document, out_path, reports)
@@ -692,8 +715,10 @@ def _finish(spec: ScenarioSpec, document: dict, reports: list[SolveReport]) -> S
 def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
     """Resolve defaults, solve, and write the artifact; returns the outcome.
 
-    Raises GraphOTError subclasses on invalid inputs; solver non-convergence
-    and invariant violations are reported through the exit code instead.
+    Raises GraphOTError subclasses on invalid inputs and OSError on a file
+    it cannot read or an artifact directory that does not exist; solver
+    non-convergence and invariant violations are reported through the exit
+    code instead.
     """
     try:
         scenario = SCENARIOS[spec.scenario]
@@ -712,6 +737,12 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
         value = getattr(spec, name)
         if value is not None and value < 0:
             raise InputFormatError(f"{_FLAGS[name]} must be >= 0, got {value}")
+    out_path = Path(spec.out) if spec.out else Path(f"graph_ot_{spec.scenario}.json")
+    # a solve can take minutes: find a directory the artifact cannot go to first
+    if not out_path.parent.is_dir():
+        raise FileNotFoundError(
+            errno.ENOENT, f"no directory for the {_FLAGS['out']} artifact", str(out_path.parent)
+        )
 
     graph, graph_src = _resolve_graph(spec, scenario.graph)
     if spec.origin is not None and graph_src["kind"] not in ("lattice1d", "lattice2d"):
@@ -757,4 +788,4 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
     document = _solve_document(spec, resolved, damping, *solves[0])
     if scenario.extras is not None:
         document["extras"] = scenario.extras(spec, resolved, solves)
-    return _finish(spec, document, [report for _, report, _ in solves])
+    return _finish(spec, document, [report for _, report, _ in solves], out_path)

@@ -366,3 +366,24 @@ def test_dumbbell_bottleneck(dumbbell_solution):
     mean_abs = np.abs(report.trajectory.edge_velocities).mean(axis=0)
     bridge = mean_abs[graph.edge_position(4, 5)]
     assert bridge >= mean_abs.mean()
+
+
+def test_2d_lattice_refinement(tmp_path):
+    # the 2-d benchmark at n = M = 16 and 32: doubling n and M shrinks the
+    # gap between the two W2 estimators and the Hamiltonian drift by a
+    # factor measured at 2.7 and 3.0, held to the window [2.3, 3.5]
+    gaps, drifts = {}, {}
+    for n in (16, 32):
+        spec = ScenarioSpec(
+            "benchmark-2d", lattice2d=(n, 4.0), origin=-1.0, steps=n, out=str(tmp_path / f"{n}.json")
+        )
+        run = run_scenario(spec)
+        solver, metrics = run.document["solver"], run.document["metrics"]
+        assert run.document["config"]["damping"] is True
+        assert run.exit_code == 0 and solver["converged"], f"n={n}: {solver['status']}"
+        assert solver["positivity_ok"], f"negative density at n={n}"
+        assert solver["cfl_margin"] >= 0.0, f"CFL margin {solver['cfl_margin']} at n={n}"
+        gaps[n] = abs(metrics["w2_action"] - metrics["w2_initial"])
+        drifts[n] = metrics["hamiltonian_drift"]
+    assert 2.3 <= gaps[16] / gaps[32] <= 3.5, f"W2 estimator gaps {gaps}"
+    assert 2.3 <= drifts[16] / drifts[32] <= 3.5, f"Hamiltonian drifts {drifts}"

@@ -3,10 +3,12 @@ import logging
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graph_ot import SolveConfig, read_artifact
 import graph_ot.cli
+import graph_ot.scenarios
 from graph_ot.cli import _spec_from_args, build_parser, main
 
 
@@ -124,8 +126,9 @@ def test_normalize_flag(tmp_path, capsys, solve_args):
     assert main(argv) == 2
     assert stderr_error(capsys)["type"] == "InvalidDensityError"
     assert main(argv + ["--normalize"]) == 0
-    doc = read_artifact(out)
-    assert doc["trajectory"]["densities"][0] == [0.5, 0.3, 0.2]
+    first = read_artifact(out)["trajectory"]["densities"][0]
+    expected = np.array([0.5, 0.3, 0.2])
+    np.testing.assert_array_equal(first.view(np.uint64), expected.view(np.uint64), strict=True)
 
 
 def test_main_fixes_the_mmap_threshold(monkeypatch, capsys, solve_args):
@@ -242,6 +245,20 @@ def test_missing_graph_file(tmp_path, capsys):
     )
     assert code == 2
     assert stderr_error(capsys)["type"] == "FileNotFoundError"
+
+
+def test_missing_output_directory_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    def newton_solve(*args, **kwargs):
+        raise AssertionError("solved with nowhere to write the artifact")
+
+    monkeypatch.setattr(graph_ot.scenarios, "newton_solve", newton_solve)
+    missing = tmp_path / "no" / "such"
+    argv = ["benchmark-2d", "--lattice2d", "32", "4.0", "--origin", "-1", "--steps", "32"]
+    assert main(argv + ["--out", str(missing / "x.json")]) == 2
+    error = stderr_error(capsys)
+    assert error["type"] == "FileNotFoundError"
+    assert str(missing) in error["message"]
+    assert not missing.exists()
 
 
 def test_missing_density_source(tmp_path, capsys):

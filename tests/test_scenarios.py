@@ -1,3 +1,5 @@
+import base64
+import json
 import warnings
 
 import numpy as np
@@ -25,6 +27,15 @@ from graph_ot.scenarios import _classify
 
 def write_lines(path, *lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+def assert_bitwise(actual, expected):
+    """Equal shapes, dtypes and bits: NaN matches NaN, -0.0 does not match 0.0."""
+    assert actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64), strict=True)
+
+
+TRAJECTORY_ARRAYS = ("times", "densities", "tree_velocities", "edge_velocities")
 
 
 @pytest.fixture
@@ -118,7 +129,7 @@ def test_solve_scenario_end_to_end(tmp_path, triangle_file, density_files):
     assert run.exit_code == EXIT_OK
     assert run.out_path == out
     doc = run.document
-    assert doc["schema"] == "graph-ot/1"
+    assert doc["schema"] == "graph-ot/2"
     assert doc["scenario"] == "solve"
     assert doc["exit_code"] == EXIT_OK
     assert doc["config"]["steps"] == 8
@@ -130,8 +141,13 @@ def test_solve_scenario_end_to_end(tmp_path, triangle_file, density_files):
     assert doc["solver"]["residual_history"][-1] < 1e-10
     assert doc["metrics"]["w2"] == pytest.approx(np.sqrt(doc["metrics"]["w2_action"]))
     assert len(doc["trajectory"]["densities"]) == 9
-    # artifact on disk equals the in-memory document
-    assert read_artifact(out) == doc
+    # artifact on disk equals the in-memory document, its arrays bit for bit
+    written = read_artifact(out)
+    trajectory = written.pop("trajectory")
+    assert written == {key: value for key, value in doc.items() if key != "trajectory"}
+    assert trajectory.keys() == doc["trajectory"].keys() == set(TRAJECTORY_ARRAYS)
+    for name in TRAJECTORY_ARRAYS:
+        assert_bitwise(trajectory[name], doc["trajectory"][name])
 
 
 def test_solve_artifact_round_trips_bitwise(tmp_path, triangle_file, density_files):
@@ -149,8 +165,20 @@ def test_solve_artifact_round_trips_bitwise(tmp_path, triangle_file, density_fil
     )
     written = read_artifact(out)["trajectory"]
     solved = run.reports[0].trajectory
-    for name in ("times", "densities", "tree_velocities", "edge_velocities"):
-        np.testing.assert_array_equal(np.array(written[name]), getattr(solved, name))
+    for name in TRAJECTORY_ARRAYS:
+        assert_bitwise(written[name], getattr(solved, name))
+
+
+def test_lattice2d_artifact_round_trips_bitwise(tmp_path):
+    out = tmp_path / "grid.json"
+    run = run_scenario(ScenarioSpec("benchmark-2d", lattice2d=(6, 4.0), steps=4, out=str(out)))
+    written = read_artifact(out)["trajectory"]
+    solved = run.reports[0].trajectory
+    assert written["densities"].shape == (5, 36)
+    assert written["edge_velocities"].shape == (5, 72)
+    assert written["tree_velocities"].shape == (5, 35)
+    for name in TRAJECTORY_ARRAYS:
+        assert_bitwise(written[name], getattr(solved, name))
 
 
 def test_solve_requires_graph(density_files):
@@ -574,3 +602,36 @@ def test_write_artifact_format(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert read_artifact(path) == {"schema": "graph-ot/1", "x": [1.5]}
+
+
+def test_artifact_arrays_round_trip_every_float_bitwise(tmp_path):
+    path = tmp_path / "doc.json"
+    special = np.array([[np.nan, np.inf], [-np.inf, -0.0], [5e-324, 1.0 / 3.0]])
+    write_artifact({"schema": "graph-ot/2", "x": special}, path)
+    stored = json.loads(path.read_text())["x"]
+    assert {key: stored[key] for key in ("dtype", "shape")} == {"dtype": "<f8", "shape": [3, 2]}
+    assert base64.b64decode(stored["data"]) == special.astype("<f8").tobytes()
+    x = read_artifact(path)["x"]
+    assert_bitwise(x, special)
+    x[0, 0] = 2.0  # decoded arrays are writable
+
+
+def test_artifact_writer_refuses_arrays_it_cannot_store_bitwise(tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_artifact({"x": np.arange(3)}, tmp_path / "doc.json")
+
+
+def test_version_1_artifact_reads_as_before(tmp_path):
+    # graph-ot/1 wrote the trajectory arrays as nested lists of text floats
+    document = {
+        "schema": "graph-ot/1",
+        "trajectory": {
+            "times": [0.0, 0.5, 1.0],
+            "densities": [[0.5, 0.5], [0.375, 0.625], [0.25, 0.75]],
+            "tree_velocities": [[0.25], [0.25], [0.25]],
+            "edge_velocities": [[0.25], [0.25], [0.25]],
+        },
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(document) + "\n")
+    assert read_artifact(path) == document
