@@ -73,7 +73,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# a first-Jacobian reciprocal-condition estimate below this is logged
+# a factor whose Schur complement has a reciprocal condition number below
+# this is logged.  Healthy factors read 4.1e-8 and up (the 32x32 grid); the
+# undamped far-apart 1-d pair reads 2.65e-61 at the factor whose step
+# overflows
 _RCOND_WARN = 1e-12
 # the error-oriented damping gives up once its factor falls below this
 _LAMBDA_MIN = 1e-8
@@ -123,10 +126,12 @@ class SolveReport:
     the residual.  ``damping_factors`` holds the factor lambda of each
     accepted step, all 1 without damping.  ``cfl_margin`` is the worst
     local margin 1 - tau * sum sqrt(w) v^+ over nodes and the M update
-    levels (relevant for the upwind model).  ``jacobian_rcond`` is a
-    reciprocal-condition estimate of the first matrix factored, the Newton
-    matrix in node potentials J^ = R J C (see the module docstring), 0 when
-    it was found singular, None when no factorization happened.
+    levels (relevant for the upwind model).  ``jacobian_rcond`` is the
+    1-norm reciprocal condition number of the Schur complement K of the
+    first matrix factored, the dense (N-1) x (N-1) matrix the solver
+    inverts (see ``_CondensedFactor``), as LAPACK's gecon estimates it; 0
+    when that matrix was found singular, None when no factorization
+    happened.
     """
 
     trajectory: Trajectory
@@ -402,8 +407,11 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
 # 2.8-3.2 s, against 3.3-3.5 s at 1 MiB and 4.4 s at 32 MiB
 _SCHUR_CHUNK_BYTES = 2 * 2**20
 
-# LAPACK's LU without scipy.linalg.lu_factor's warning on a zero pivot
-_getrf = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
+# LAPACK's LU (without scipy.linalg.lu_factor's warning on a zero pivot),
+# 1-norm, and reciprocal condition number from an LU and the 1-norm
+_getrf, _lange, _gecon = scipy.linalg.get_lapack_funcs(
+    ("getrf", "lange", "gecon"), dtype=np.float64
+)
 
 
 def _level_blocks(a11: sp.csr_matrix, a12: sp.csr_matrix):
@@ -559,21 +567,24 @@ class _CondensedFactor:
     A12's CSR slice until its CSC and ``_level_blocks``' negated triple are
     made, then the CSC until SuperLU has factored it.  The sweep holds
     SuperLU's factor, the triple, two panel buffers and K.  Solves need
-    A11, A22 and the two factors.  With ``norm`` set, ``norm1`` is
-    ||J^||_1, which reads J^ whole, for the rcond estimate; else None.
+    A11, A22 and the two factors.
+
+    ``rcond`` is K's 1-norm reciprocal condition number, from LAPACK's
+    gecon on K's LU and ||K||_1, taken by lange just before the LU
+    overwrites K: O((N-1)^2) on top of the O((N-1)^3) LU, and no second K.
 
     An exactly zero column of K makes the matrix exactly singular and
     raises SingularJacobianError.  Any other zero pivot of K,
-    or a non-finite K, leaves the factor ``singular``: every solve then
-    returns NaN, so the step is reported as non-finite instead of raised.
+    or a non-finite K, leaves the factor ``singular``, with ``rcond`` 0:
+    every solve then returns NaN, so the step is reported as non-finite
+    instead of raised.
     """
 
-    def __init__(self, problem: TransportProblem, x: np.ndarray, norm: bool = False):
+    def __init__(self, problem: TransportProblem, x: np.ndarray):
         m = problem.steps
         n1 = problem.graph.node_count - 1
         top = 2 * m * n1 - n1
         matrix = assemble_jacobian_analytic(problem, x)
-        self.norm1 = spla.norm(matrix, 1) if norm else None
         self.a11, a12 = matrix[:top, :n1], matrix[:top, n1:]
         a21, self.a22 = matrix[top:, :n1], matrix[top:, n1:]
         del matrix
@@ -604,9 +615,13 @@ class _CondensedFactor:
                 "Schur-complement columns are zero"
             )
         self.singular = not np.isfinite(schur).all()
+        self.rcond = 0.0
         if not self.singular:
+            norm1 = _lange("1", schur)
             self.schur, self.pivots, info = _getrf(schur, overwrite_a=True)
             self.singular = info != 0
+            if not self.singular:
+                self.rcond = float(_gecon(self.schur, norm1, norm="1")[0])
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """J^-1 b, or J^-T b for ``trans="T"``; b may hold several columns."""
@@ -629,41 +644,6 @@ class _CondensedFactor:
         return scipy.linalg.lu_solve(
             (self.schur, self.pivots), b, trans=trans, check_finite=False
         )
-
-
-def _rcond_estimate(lu: _CondensedFactor) -> float | None:
-    """1 / (norm1(J) * est(norm1(J^-1))) from a factor built with ``norm``.
-
-    A factor with a zero pivot has found J singular: 0.  The estimate runs
-    from a fixed seed and leaves the caller's global generator as it was.
-    """
-    if lu.singular:
-        return 0.0
-    try:
-        if lu.norm1 == 0.0:
-            return 0.0
-        n = lu.a11.shape[0] + lu.a22.shape[0]
-        inverse = spla.LinearOperator(
-            (n, n),
-            matvec=lu.solve,
-            matmat=lu.solve,
-            rmatvec=lambda b: lu.solve(b, trans="T"),
-            # one block solve per transposed product, not one per column
-            rmatmat=lambda b: lu.solve(b, trans="T"),
-            dtype=float,
-        )
-        # onenormest draws its start vectors from numpy's global generator;
-        # a fixed seed makes jacobian_rcond reproducible
-        state = np.random.get_state()
-        np.random.seed(0)
-        try:
-            inv_norm1 = spla.onenormest(inverse)
-        finally:
-            np.random.set_state(state)
-        return float(1.0 / (lu.norm1 * inv_norm1))
-    except Exception:  # estimation is best-effort diagnostics only
-        logger.debug("reciprocal-condition estimate failed", exc_info=True)
-        return None
 
 
 # -- the solver ---------------------------------------------------------------
@@ -738,7 +718,8 @@ def newton_solve(
       test is rejected: the solver keeps x, refactors there and takes a
       Newton step.
 
-    One factor is alive at a time; the rcond estimate is the first's.
+    One factor is alive at a time.  Each factor whose K reads an rcond
+    below ``_RCOND_WARN`` is logged; the report keeps the first factor's.
     """
     if config is None:
         config = SolveConfig()
@@ -777,21 +758,22 @@ def newton_solve(
         if fresh:
             lu = None  # one factor alive at a time: the last one goes first
             try:
-                # ||J^||_1 only for the factor whose rcond is estimated
-                lu = _CondensedFactor(problem, x, norm=rcond is None)
+                lu = _CondensedFactor(problem, x)
             except SingularJacobianError:
                 status = "singular_jacobian"
                 if rcond is None:
-                    rcond = 0.0  # found singular: nothing to estimate
+                    rcond = 0.0
                 break
             if rcond is None:
-                rcond = _rcond_estimate(lu)
-                if rcond is not None and rcond < _RCOND_WARN:
-                    logger.warning(
-                        "Jacobian reciprocal-condition estimate %.3e below %.1e",
-                        rcond,
-                        _RCOND_WARN,
-                    )
+                rcond = lu.rcond
+            if lu.rcond < _RCOND_WARN:
+                logger.warning(
+                    "Schur-complement reciprocal-condition number %.3e below %.1e "
+                    "at step %d",
+                    lu.rcond,
+                    _RCOND_WARN,
+                    iterations + 1,
+                )
             step = _correction(problem, lu, residual)
         else:
             step = previous[1]

@@ -26,7 +26,6 @@ LAYERS = {
     "newton.assembly",
     "newton.lu_factor",
     "newton.lu_solve",
-    "newton.rcond",
     "system.residual",
     "metrics",
     "scenarios.artifact_write",

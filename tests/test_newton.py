@@ -926,9 +926,9 @@ def test_newton_solve_holds_one_factor_at_a_time(damping, monkeypatch):
         return matrix
 
     class RecordingFactor(_CondensedFactor):
-        def __init__(self, problem, x, norm=False):
+        def __init__(self, problem, x):
             assert all(ref() is None for ref in factors)
-            super().__init__(problem, x, norm)
+            super().__init__(problem, x)
             factors.append(weakref.ref(self))
 
     monkeypatch.setattr(graph_ot.newton, "assemble_jacobian_analytic", recording_assembly)
@@ -941,8 +941,7 @@ def test_newton_solve_holds_one_factor_at_a_time(damping, monkeypatch):
 @pytest.mark.parametrize("damping", [False, True], ids=["undamped", "damped"])
 def test_newton_matrix_is_gone_before_superlu_runs(damping, monkeypatch):
     # J^ is split into its four blocks and dropped before SuperLU factors
-    # A12, at the first factorization, whose rcond is estimated, and at
-    # every later one
+    # A12, at every factorization
     p = dumbbell_problem()  # its tree factors through splu too
     matrices, gone = [], []
     assemble, splu = graph_ot.newton.assemble_jacobian_analytic, spla.splu
@@ -1112,6 +1111,14 @@ def test_sweep_rejects_other_block_patterns(row_level, col_level, field, node, m
         _CondensedFactor(p, default_initial_guess(p))
 
 
+def exact_rcond(p, x):
+    """The 1-norm rcond of K = A21 - A22 A12^-1 A11 at x, formed densely
+    from J^'s four blocks."""
+    a11, a12, a21, a22 = (block.toarray() for block in condensed_blocks(p, x))
+    schur = a21 - a22 @ np.linalg.solve(a12, a11)
+    return 1.0 / (np.linalg.norm(schur, 1) * np.linalg.norm(np.linalg.inv(schur), 1))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -1125,13 +1132,44 @@ def test_sweep_rejects_other_block_patterns(row_level, col_level, field, node, m
 )
 def test_rcond_estimate_bounds_the_exact_value(make):
     p = make()
-    jacobian = assemble_jacobian_analytic(p, default_initial_guess(p)).toarray()
-    exact = 1.0 / (
-        np.linalg.norm(jacobian, 1) * np.linalg.norm(np.linalg.inv(jacobian), 1)
-    )
-    np.random.seed(5)  # onenormest draws from numpy's global generator
+    exact = exact_rcond(p, default_initial_guess(p))
     rcond = newton_solve(p).jacobian_rcond
     assert exact * (1.0 - 1e-12) <= rcond <= 3.0 * exact
+
+
+@pytest.mark.parametrize(
+    "make", [gaussian_line_problem, gaussian_grid_problem, k8_problem],
+    ids=["1-d lattice", "2-d grid", "K8"],
+)
+def test_rcond_same_in_panels(make, monkeypatch):
+    # after a step K is no longer symmetric, so its 1-norm rcond is not its
+    # inf-norm one; K formed two columns at a time, in Fortran order, has
+    # the rcond of K formed in one panel, bit for bit
+    p = make()
+    n1 = p.graph.node_count - 1
+    x = pack(p, newton_solve(p, config=SolveConfig(max_iterations=1)).trajectory)
+    whole = _CondensedFactor(p, x).rcond
+    exact = exact_rcond(p, x)
+    assert exact * (1.0 - 1e-12) <= whole <= 3.0 * exact
+    monkeypatch.setattr(graph_ot.newton, "_SCHUR_CHUNK_BYTES", 32 * n1)
+    assert _CondensedFactor(p, x).rcond == whole
+
+
+@pytest.mark.parametrize(
+    "schur",
+    [
+        lambda n1: np.full((n1, n1), np.nan),
+        lambda n1: np.diag(np.r_[np.inf, np.ones(n1 - 1)]),
+        lambda n1: np.ones((n1, n1)),  # no zero column, but a zero pivot
+    ],
+    ids=["nan", "inf", "zero pivot"],
+)
+def test_singular_factor_reports_rcond_zero(schur, monkeypatch):
+    p = dumbbell_problem()
+    n1 = p.graph.node_count - 1
+    monkeypatch.setattr(graph_ot.newton, "_sweep_schur", lambda *blocks: schur(n1))
+    factor = _CondensedFactor(p, default_initial_guess(p))
+    assert factor.singular and factor.rcond == 0.0
 
 
 def test_rcond_estimate_is_reproducible():
@@ -1330,17 +1368,22 @@ def test_singular_jacobian_is_reported():
     assert report.residual_history.shape == (1,)
 
 
-def test_far_apart_pair_diverges_without_raising():
+def test_far_apart_pair_diverges_without_raising(caplog):
     # at velocities near 1e5 the Schur complement's entries reach 1e144 and
     # its pivots cancel; the step must come out non-finite, not raise
     g = lattice_1d_periodic(64, 4.0, -1.0)
     mu = gaussian_density_1d(g, 15.0, 0.0, 1e-6)
     nu = gaussian_density_1d(g, 15.0, 2.0, 1e-6)
     p = TransportProblem(g, mu, nu, 32)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), caplog.at_level(logging.WARNING, logger="graph_ot.newton"):
         report = newton_solve(p)
     assert report.status == "nonfinite_residual"
     assert not report.converged
+    # K's rcond falls from 1.5e-8 at the first factor to 2.6e-61 at the
+    # second, whose step overflows: only the second is logged
+    warned = [r.message for r in caplog.records if "reciprocal-condition" in r.message]
+    assert len(warned) == 1 and warned[0].endswith("at step 2"), warned
+    assert report.jacobian_rcond > graph_ot.newton._RCOND_WARN
 
 
 def test_max_iterations_exceeded():
@@ -1529,7 +1572,8 @@ def test_nonfinite_residual_reported_not_raised():
 def test_ill_conditioning_warning_logged(caplog, monkeypatch):
     g = build_from_edge_list([(1, 2, 1.0)])
     p = TransportProblem(g, np.array([0.6, 0.4]), np.array([0.4, 0.6]), 2, model=UPWIND)
-    monkeypatch.setattr(graph_ot.newton, "_RCOND_WARN", 1.0)
+    # K is 1 x 1 here, so its rcond is exactly 1
+    monkeypatch.setattr(graph_ot.newton, "_RCOND_WARN", 1.5)
     with caplog.at_level(logging.WARNING, logger="graph_ot.newton"):
         newton_solve(p)
     assert any("reciprocal-condition" in r.message for r in caplog.records)
