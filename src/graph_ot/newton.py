@@ -33,6 +33,8 @@ problem therefore builds one level's entries as a template, cached on the
 TransportProblem, with a sparse operator from five per-edge terms to the
 entry values.  Each assembly evaluates those terms for all M levels as
 (M, E) arrays and lays the levels out in CSR order in one vectorized pass.
+J^ stores exactly its nonzero entries: at v = 0 every flux and kinetic
+entry vanishes, and the level sweep then multiplies through none of them.
 """
 
 from __future__ import annotations
@@ -206,12 +208,13 @@ class _JacobianTemplate:
     assembly returns.  Entry k's value is ``constants[k]`` plus the level's
     edge terms times column k of ``operator``.  Entries are sorted by row
     and column, so the levels laid out one after another are in CSR order.
+    The template holds every entry that can be nonzero at some state; the
+    assembly stores those that are nonzero at the state it is given.
     """
 
     columns: np.ndarray  # level 0's, S^1 unshifted: -(N-1) .. 3(N-1) - 1
     constants: np.ndarray
     operator: sp.csr_matrix  # (_EDGE_TERMS * E, entries)
-    structural: np.ndarray  # stored even where the value is zero
     own_density: np.ndarray  # columns of mu at the first level
     next_density: np.ndarray  # columns of nu at the last level
     row_starts: np.ndarray  # first entry of each row
@@ -309,12 +312,9 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
     entry, inverse = np.unique(rows * width + cols - s_own, return_inverse=True)
     rows, cols = entry // width, entry % width + s_own
     n_const = const_rows.size
-    n_direct = n_const + flux_rows.size
 
     constants = np.zeros(entry.size)
     constants[inverse[:n_const]] = const_vals
-    structural = np.zeros(entry.size, dtype=bool)
-    structural[inverse[:n_direct]] = True
     operator = sp.csr_matrix(
         (
             np.concatenate([flux_coef, pair_coef[k] * factor]),
@@ -329,7 +329,6 @@ def _build_jacobian_template(problem: TransportProblem) -> _JacobianTemplate:
         columns=cols.astype(index),
         constants=constants,
         operator=operator,
-        structural=structural,
         own_density=(cols >= rho_own) & (cols < s_next),
         next_density=cols >= rho_next,
         row_starts=np.flatnonzero(np.diff(rows, prepend=-1)),
@@ -341,10 +340,8 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
 
     J^ is the Jacobian of s -> R F(C s), the residual in node potentials
     (see the module docstring); x stays in the tree gauge.  Fills the
-    problem's cached template with the edge terms of all M levels at once.
-    Entries of the identity and density-flux blocks are stored even when
-    zero; entries reached through the potentials' edge gradient are stored
-    where their value is nonzero.
+    problem's cached template with the edge terms of all M levels at once,
+    and stores exactly the entries whose value is nonzero.
     """
     t = problem._jacobian_template
     if t is None:
@@ -375,7 +372,6 @@ def assemble_jacobian_analytic(problem: TransportProblem, x: np.ndarray) -> sp.c
     del terms
     values += t.constants
     keep = values != 0.0
-    keep |= t.structural
     keep[0, t.own_density] = False
     keep[-1, t.next_density] = False
     counts = np.add.reduceat(keep, t.row_starts, axis=1, dtype=np.intp)
@@ -545,17 +541,14 @@ class _CondensedFactor:
     the triangle, and with panel size 1.  Panels block the updates of a
     column by the columns before it, and in a lower triangle no column
     updates another, so the factor and its solves are bit for bit those of
-    the default panel size, without the panel workspace.  On the 1-d map
-    problem (n=256, M=64) that lowers one factorization's peak memory by
-    about 9 MB.
+    the default panel size, without the panel workspace, which lowers a
+    factorization's peak memory.
 
     ``_sweep_schur`` forms K by sweeping the time levels, one sparse x
     dense product each, holding one level's 2(N-1) rows of a column panel
-    of A12^-1 A11.  Per factorization it forms K of the 1-d map problem
-    (n=256, M=64) in 48 ms and of the 16x16 2-d benchmark in 19 ms, against
-    348 and 113 ms by SuperLU solves with A12's factor on chunks of A11's
-    columns (one BLAS thread, shared 2-core VM, numpy 2.4, scipy 1.17).  It
-    is level with those solves on K10 and faster from the 32-node ring up.
+    of A12^-1 A11.  That is several times faster than SuperLU solves with
+    A12's factor on chunks of A11's columns on the 1-d map and the 2-d
+    benchmark, level with them on K10 and faster from the 32-node ring up.
     Only on sparse graphs of 10 nodes or fewer does its fixed cost per
     level make it slower, by 1-2 ms, which no workload resolves, so it is
     the only way K is formed.  A12's factor serves every solve.
@@ -623,27 +616,20 @@ class _CondensedFactor:
             if not self.singular:
                 self.rcond = float(_gecon(self.schur, norm1, norm="1")[0])
 
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """J^-1 b, or J^-T b for ``trans="T"``; b may hold several columns."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """J^-1 b; b may hold several columns."""
         b = np.asarray(b, dtype=float)
         if self.singular:
             return np.full(b.shape, np.nan)
         n1 = self.a11.shape[1]
-        if trans == "N":
-            head, tail = b[:-n1], b[-n1:]
-            y1 = self._schur_solve(tail - self.a22 @ self.a12_lu.solve(head), 0)
-            y2 = self.a12_lu.solve(head - self.a11 @ y1)
-            return np.concatenate([y1, y2])
-        head, tail = b[:n1], b[n1:]
-        z = self.a12_lu.solve(tail, trans="T")
-        w2 = self._schur_solve(head - self.a11.T @ z, 1)
-        w1 = self.a12_lu.solve(tail - self.a22.T @ w2, trans="T")
-        return np.concatenate([w1, w2])
-
-    def _schur_solve(self, b: np.ndarray, trans: int) -> np.ndarray:
-        return scipy.linalg.lu_solve(
-            (self.schur, self.pivots), b, trans=trans, check_finite=False
+        head, tail = b[:-n1], b[-n1:]
+        y1 = scipy.linalg.lu_solve(
+            (self.schur, self.pivots),
+            tail - self.a22 @ self.a12_lu.solve(head),
+            check_finite=False,
         )
+        y2 = self.a12_lu.solve(head - self.a11 @ y1)
+        return np.concatenate([y1, y2])
 
 
 # -- the solver ---------------------------------------------------------------

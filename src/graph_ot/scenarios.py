@@ -19,7 +19,7 @@ import itertools
 import json
 import logging
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -167,7 +167,8 @@ class ScenarioSpec:
     )
     threshold: float | None = _option(
         None, "--threshold",
-        "velocity threshold for effective-edge detection (recover-topology only)", float, "T",
+        "velocity threshold for effective-edge detection (recover-topology only; default 1e-3)",
+        float, "T",
     )
     seed: int = _option(0, "--seed", "seed for generated inputs", int)
     out: str | None = _option(
@@ -571,12 +572,11 @@ def _dumbbell_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
 
 def _recover_topology_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
     problem, report, _ = solves[0]
-    threshold = spec.threshold if spec.threshold is not None else 1e-3
     per_level = _effective_edges_per_level(
-        report.trajectory.edge_velocities, problem.graph, threshold
+        report.trajectory.edge_velocities, problem.graph, spec.threshold
     )
     return {
-        "threshold": threshold,
+        "threshold": spec.threshold,
         "effective_edges_per_level": per_level,
         "effective_edge_count_per_level": [len(es) for es in per_level],
     }
@@ -626,6 +626,7 @@ class _Scenario:
     nu: Callable | None = None
     theta: str = "mean"
     damping: bool = False
+    threshold: float | None = None  # read by the extras of the scenarios that take it
     # fields of _REFUSABLE the scenario takes: by default every source
     takes: tuple[str, ...] = (*_GRAPH_SOURCES, *_DENSITY_FIELDS)
     extras: Callable | None = None
@@ -679,6 +680,7 @@ SCENARIOS = {
         steps=128,
         graph=lambda spec: _complete(10),
         **_SEEDED_ENDPOINTS,
+        threshold=1e-3,
         takes=("complete", *_DENSITY_FIELDS, "threshold"),
         extras=_recover_topology_extras,
     ),
@@ -772,6 +774,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
     except KeyError as exc:
         raise InputFormatError(exc.args[0]) from None
     damping = scenario.damping if spec.damping is None else spec.damping
+    if spec.threshold is None:  # the artifact's config and extras read the one value
+        spec = replace(spec, threshold=scenario.threshold)
     config = SolveConfig(
         tolerance=spec.tolerance,
         max_iterations=spec.max_iterations,

@@ -62,8 +62,10 @@ _MASS_TOL = 1e-12
 class TransportProblem:
     """Endpoint densities, graph, gauge tree, mobility model and step count.
 
-    ``tree`` defaults to the deterministic minimum spanning tree.  Treat
-    instances as immutable once constructed.
+    ``tree`` defaults to the deterministic minimum spanning tree; a given
+    tree must be built on a graph with the same nodes, edges and weights,
+    since the gauge takes the tree's weights.  Treat instances as immutable
+    once constructed.
     """
 
     graph: WeightedGraph
@@ -114,6 +116,7 @@ class TransportProblem:
         elif self.tree.graph is not self.graph and (
             self.tree.graph.node_count != n
             or self.tree.graph.edges != self.graph.edges
+            or not np.array_equal(self.tree.graph.weights, self.graph.weights)
         ):
             raise DimensionMismatchError("tree was built for a different graph")
 

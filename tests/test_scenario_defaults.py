@@ -73,6 +73,7 @@ EXPECTED = {
     },
     "recover-topology": {
         "steps": 128,
+        "threshold": 1e-3,
         "tau": 1.0 / 128.0,
         "theta": "mean",
         "damping": False,

@@ -93,6 +93,14 @@ def test_problem_rejects_foreign_tree(two_node):
         TransportProblem(
             two_node, np.array([0.6, 0.4]), np.array([0.4, 0.6]), 4, tree=kruskal(other)
         )
+    # the same edges with other weights: the gauge would take the tree's
+    triangle = build_from_edge_list([(1, 2, 1.0), (2, 3, 1.0), (1, 3, 2.0)])
+    reweighted = build_from_edge_list([(1, 2, 4.0), (2, 3, 9.0), (1, 3, 2.0)])
+    mu, nu = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
+    with pytest.raises(DimensionMismatchError, match="different graph"):
+        TransportProblem(triangle, mu, nu, 32, tree=kruskal(reweighted))
+    same = build_from_edge_list([(1, 2, 1.0), (2, 3, 1.0), (1, 3, 2.0)])
+    TransportProblem(triangle, mu, nu, 32, tree=kruskal(same))
 
 
 # -- operators ------------------------------------------------------------------
