@@ -68,18 +68,6 @@ def hamiltonian_drift(
     return float(np.abs(energy - energy[0]).max())
 
 
-def _effective_edges_per_level(
-    velocities: np.ndarray, graph: WeightedGraph, threshold: float
-) -> list[list[list[int]]]:
-    """Per row of ``velocities`` (levels by edges), the edges (i, j) whose
-    velocity magnitude strictly exceeds ``threshold``, as [i, j] lists.
-
-    One comparison over all levels; numpy converts each level's edges.
-    """
-    ends = np.column_stack([graph.tail, graph.head]) + 1
-    return [ends[above].tolist() for above in np.abs(velocities) > threshold]
-
-
 def _forward_edge_velocities(
     trajectory: Trajectory, graph: WeightedGraph
 ) -> np.ndarray:

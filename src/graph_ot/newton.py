@@ -807,9 +807,7 @@ def newton_solve(
 
     trajectory = unpack(problem, x)
     m = problem.steps
-    margins = _cfl_margins_all_levels(
-        problem.graph, trajectory.edge_velocities[:m], problem.tau
-    )
+    margins, _ = check_cfl(problem.graph, trajectory.edge_velocities[:m], problem.tau)
     report = SolveReport(
         trajectory=trajectory,
         converged=status == "converged",
@@ -833,16 +831,6 @@ def newton_solve(
     return report
 
 
-def _cfl_margins_all_levels(
-    graph: WeightedGraph, edge_velocities: np.ndarray, tau: float
-) -> np.ndarray:
-    sw = graph.sqrt_weights
-    vp = np.maximum(edge_velocities, 0.0)
-    vm = np.maximum(-edge_velocities, 0.0)
-    load = (graph.tail_matrix @ (sw * vp).T + graph.head_matrix @ (sw * vm).T).T
-    return 1.0 - tau * load
-
-
 def check_cfl(
     graph: WeightedGraph, v_edges: np.ndarray, tau: float
 ) -> tuple[np.ndarray, float]:
@@ -852,17 +840,25 @@ def check_cfl(
     and tau_star = 1 / (d_max * sqrt(w_max) * max|v|), reported as inf for a
     zero field.  Nonnegative margins everywhere guarantee the explicit
     upwind update preserves nonnegativity; tau <= tau_star implies that for
-    every node.
+    every node.  Accepts one level's edge velocities, shape (E,), or one
+    row per level, shape (levels, E); the margins then have shape (N,) or
+    (levels, N), and max|v| is taken over every level.
     """
     v = np.asarray(v_edges, dtype=float)
-    if v.shape != (graph.edge_count,):
+    if v.ndim not in (1, 2) or v.shape[-1] != graph.edge_count:
         raise DimensionMismatchError(
-            f"edge velocities must have shape ({graph.edge_count},), got {v.shape}"
+            f"edge velocities must have shape ({graph.edge_count},) or "
+            f"(levels, {graph.edge_count}), got {v.shape}"
         )
-    margins = _cfl_margins_all_levels(graph, v[None, :], tau)[0]
+    rows = np.atleast_2d(v)
+    sw = graph.sqrt_weights
+    vp = np.maximum(rows, 0.0)
+    vm = np.maximum(-rows, 0.0)
+    load = (graph.tail_matrix @ (sw * vp).T + graph.head_matrix @ (sw * vm).T).T
+    margins = 1.0 - tau * load
     vmax = float(np.abs(v).max()) if v.size else 0.0
     if vmax == 0.0:
         tau_star = float("inf")
     else:
-        tau_star = 1.0 / (graph.max_degree * float(graph.sqrt_weights.max()) * vmax)
-    return margins, tau_star
+        tau_star = 1.0 / (graph.max_degree * float(sw.max()) * vmax)
+    return (margins[0] if v.ndim == 1 else margins), tau_star

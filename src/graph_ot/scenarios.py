@@ -3,12 +3,16 @@
 A scenario bundles a graph source, endpoint densities, and solver options
 into one reproducible run.  Every run writes a single JSON document with a
 versioned schema: resolved config, graph summary, solver diagnostics, the
-full trajectory arrays, and scenario-specific extras.  Schema ``graph-ot/2``
-writes each trajectory array as ``{"dtype": "<f8", "shape": [...], "data":
-...}``, ``data`` being the base64 of its little-endian float64 bytes in C
-order, the layout a NumPy ``.npy`` header records; every other field is a
-plain JSON value.  The reader turns that layout back into arrays, so arrays
-round-trip bitwise, and still reads ``graph-ot/1``, which wrote them as lists.
+full trajectory arrays, and scenario-specific extras.  Since ``graph-ot/2``
+each trajectory array is written as ``{"dtype": "<f8", "shape": [...],
+"data": ...}``, ``data`` being the base64 of its little-endian float64 bytes
+in C order, the layout a NumPy ``.npy`` header records; every other field is
+a plain JSON value.  ``graph-ot/3`` differs from ``/2`` by one dropped key:
+recover-topology's extras no longer list each level's effective edges, those
+with |v| above the threshold, which the trajectory and the threshold give;
+they keep the threshold and the per-level counts.  The reader turns the array
+layout back into arrays, so arrays round-trip bitwise, and reads
+``graph-ot/1``, which wrote them as lists, and ``graph-ot/2`` unchanged.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ from .generators import (
     seeded_random_density,
     uniform_density,
 )
-from .metrics import _effective_edges_per_level, hamiltonian_drift, map_error_1d
+from .metrics import hamiltonian_drift, map_error_1d
 from .mobility import MOBILITIES, get_mobility
-from .newton import SolveConfig, SolveReport, _cfl_margins_all_levels, check_cfl, newton_solve
+from .newton import SolveConfig, SolveReport, check_cfl, newton_solve
 from .system import TransportProblem
 from .tree import SpanningTree, read_tree_file
 
@@ -71,7 +75,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ARTIFACT_SCHEMA = "graph-ot/2"
+ARTIFACT_SCHEMA = "graph-ot/3"
 _MASS_MONITOR_TOL = 1e-10
 
 EXIT_OK = 0
@@ -210,14 +214,15 @@ _FIVE_NODE_TREES = (
 def read_density_file(
     path: str | Path, node_count: int, normalize: bool = False
 ) -> np.ndarray:
-    """Read a density vector: one decimal per line, # comments ignored.
+    """Read a density vector: one finite decimal per line, # comments ignored.
 
     Without ``normalize`` the values must sum to 1 within 1e-8; the vector
     is then rescaled exactly either way so downstream mass checks hold.
     """
     path = Path(path)
+    lines = _data_lines(path)
     values = []
-    for lineno, text in _data_lines(path):
+    for lineno, text in lines:
         try:
             values.append(float(text))
         except ValueError:
@@ -229,6 +234,10 @@ def read_density_file(
         raise InputFormatError(
             f"{path}: expected {node_count} values, got {rho.shape[0]}"
         )
+    finite = np.isfinite(rho)
+    if not finite.all():
+        lineno, text = lines[int(finite.argmin())]
+        raise InvalidDensityError(f"{path}:{lineno}: densities must be finite, got {text!r}")
     if np.any(rho < 0.0):
         raise NegativeDensityError(f"{path}: densities must be nonnegative")
     total = float(rho.sum())
@@ -571,14 +580,11 @@ def _dumbbell_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
 
 
 def _recover_topology_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
-    problem, report, _ = solves[0]
-    per_level = _effective_edges_per_level(
-        report.trajectory.edge_velocities, problem.graph, spec.threshold
-    )
+    _, report, _ = solves[0]
+    above = np.abs(report.trajectory.edge_velocities) > spec.threshold
     return {
         "threshold": spec.threshold,
-        "effective_edges_per_level": per_level,
-        "effective_edge_count_per_level": [len(es) for es in per_level],
+        "effective_edge_count_per_level": above.sum(axis=1).tolist(),
     }
 
 
@@ -595,9 +601,8 @@ def _consensus_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
 def _check_cfl_extras(spec: ScenarioSpec, resolved: dict, solves: list) -> dict:
     problem, report, _ = solves[0]
     v = report.trajectory.edge_velocities[: problem.steps]
-    margins = _cfl_margins_all_levels(problem.graph, v, problem.tau).min(axis=1)
-    # tau* falls as max |v| grows: the fastest level's bounds every level's
-    _, tau_star = check_cfl(problem.graph, v[np.abs(v).max(axis=1).argmax()], problem.tau)
+    nodal, tau_star = check_cfl(problem.graph, v, problem.tau)
+    margins = nodal.min(axis=1)
     return {
         "tau": problem.tau,
         "tau_star": None if tau_star == float("inf") else tau_star,  # None: unbounded

@@ -37,7 +37,6 @@ from graph_ot import (
     seeded_random_density,
     state_size,
 )
-from graph_ot.metrics import _effective_edges_per_level
 from graph_ot.newton import (
     _THETA_MAX,
     _CondensedFactor,
@@ -342,16 +341,12 @@ def test_criterion_9_topology_recovery(k10_solution):
     graph, problem, report = k10_solution
     trajectory = report.trajectory
     all_edges = set(graph.edges)
-    vmax = float(np.abs(trajectory.edge_velocities).max())
-    thresholds = np.linspace(0.0, vmax, 10)
-    per_threshold = [
-        _effective_edges_per_level(trajectory.edge_velocities, graph, float(threshold))
-        for threshold in thresholds
-    ]
+    speeds = np.abs(trajectory.edge_velocities)
+    thresholds = np.linspace(0.0, float(speeds.max()), 10)
     for level in range(problem.steps + 1):
         previous = None
-        for per_level in per_threshold:
-            current = {tuple(e) for e in per_level[level]}
+        for threshold in thresholds:
+            current = {e for e, above in zip(graph.edges, speeds[level] > threshold) if above}
             assert current <= all_edges
             if previous is not None:
                 assert current <= previous  # antitone in the threshold

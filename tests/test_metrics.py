@@ -18,7 +18,6 @@ from graph_ot import (
     w2_action,
     w2_initial,
 )
-from graph_ot.metrics import _effective_edges_per_level
 
 
 def constant_two_node_trajectory(steps, velocity=0.4):
@@ -106,27 +105,15 @@ def velocity_trajectory(graph, steps, v_row):
     return Trajectory(times, rho, vt, ve)
 
 
-def test_effective_edges_strict_threshold():
-    g = build_from_edge_list([(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
-    traj = velocity_trajectory(g, 4, np.array([0.5, -0.2, 0.05]))
-    v = traj.edge_velocities
-    # canonical edge order (1,2), (1,3), (2,3)
-    assert _effective_edges_per_level(v, g, 0.1)[0] == [[1, 2], [1, 3]]
-    assert _effective_edges_per_level(v, g, 0.5)[0] == []  # strict: |v| == threshold drops
-    assert _effective_edges_per_level(v, g, 0.2)[0] == [[1, 2]]
-    assert _effective_edges_per_level(v, g, -1.0)[0] == [[1, 2], [1, 3], [2, 3]]
-    # one row per level, 1..M+1
-    assert _effective_edges_per_level(v, g, 0.1) == [[[1, 2], [1, 3]]] * 5
-
-
 def test_effective_edges_nested_in_threshold():
     g = dumbbell(3, 3)
     rng = np.random.Generator(np.random.PCG64(2))
     traj = velocity_trajectory(g, 3, rng.normal(0.0, 1.0, g.edge_count))
     previous = None
     for threshold in [0.0, 0.3, 0.6, 1.2, 2.4]:
-        level_2 = _effective_edges_per_level(traj.edge_velocities, g, threshold)[1]
-        current = {tuple(e) for e in level_2}
+        level_2 = np.abs(traj.edge_velocities[1]) > threshold
+        current = {e for e, above in zip(g.edges, level_2) if above}
+        assert current <= set(g.edges)
         if previous is not None:
             assert current <= previous
         previous = current

@@ -1643,17 +1643,34 @@ def test_singular_first_factor_logs_no_estimate(caplog):
 # -- cfl ------------------------------------------------------------------------
 
 
+def assert_stacked_cfl_matches_rows(graph, rows, tau):
+    """check_cfl on (levels, E) gives each row's margins bit for bit, and
+    the smallest of the rows' tau*."""
+    margins, tau_star = check_cfl(graph, rows, tau)
+    per_row = [check_cfl(graph, row, tau) for row in rows]
+    np.testing.assert_array_equal(margins, np.array([m for m, _ in per_row]), strict=True)
+    assert tau_star == min(t for _, t in per_row)
+    return margins, tau_star
+
+
 def test_cfl_zero_field():
     g = dumbbell(3, 3)
     margins, tau_star = check_cfl(g, np.zeros(g.edge_count), 0.5)
     np.testing.assert_array_equal(margins, np.ones(6))
+    assert tau_star == np.inf
+    margins, tau_star = assert_stacked_cfl_matches_rows(g, np.zeros((3, g.edge_count)), 0.5)
+    np.testing.assert_array_equal(margins, np.ones((3, 6)))
     assert tau_star == np.inf
 
 
 def test_cfl_global_bound_star():
     # max degree 4, unit weights, max speed 2: tau* = 1/8
     g = build_from_edge_list([(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0), (1, 5, 1.0)])
-    _, tau_star = check_cfl(g, np.array([2.0, -1.0, 0.5, -2.0]), 0.01)
+    v = np.array([2.0, -1.0, 0.5, -2.0])
+    _, tau_star = check_cfl(g, v, 0.01)
+    assert tau_star == pytest.approx(1.0 / 8.0)
+    # over several levels the fastest one bounds tau*
+    _, tau_star = assert_stacked_cfl_matches_rows(g, np.array([0.25 * v, v, np.zeros(4)]), 0.01)
     assert tau_star == pytest.approx(1.0 / 8.0)
 
 
@@ -1662,9 +1679,14 @@ def test_cfl_margin_star_three():
     margins, _ = check_cfl(g, np.array([1.0, 1.0, 1.0]), 0.25)
     # center pays for all three outgoing edges, leaves have no outflow
     np.testing.assert_allclose(margins, [0.25, 1.0, 1.0, 1.0])
+    # reversed, each leaf pays for its one edge into the center
+    out_and_in = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
+    margins, _ = assert_stacked_cfl_matches_rows(g, out_and_in, 0.25)
+    np.testing.assert_allclose(margins, [[0.25, 1.0, 1.0, 1.0], [1.0, 0.75, 0.75, 0.75]])
 
 
 def test_cfl_rejects_wrong_shape():
     g = dumbbell(3, 3)
-    with pytest.raises(DimensionMismatchError):
-        check_cfl(g, np.zeros(g.edge_count + 1), 0.1)
+    for shape in [(g.edge_count + 1,), (2, g.edge_count + 1), (2, 2, g.edge_count), ()]:
+        with pytest.raises(DimensionMismatchError):
+            check_cfl(g, np.zeros(shape), 0.1)

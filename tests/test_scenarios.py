@@ -22,7 +22,7 @@ from graph_ot import (
     run_scenario,
     write_artifact,
 )
-from graph_ot.scenarios import _classify
+from graph_ot.scenarios import ARTIFACT_SCHEMA, _classify
 
 
 def write_lines(path, *lines):
@@ -68,6 +68,12 @@ def test_density_file_bad_token_reports_line(tmp_path):
     write_lines(path, "0.5", "half")
     with pytest.raises(InputFormatError, match=r"rho\.txt:2"):
         read_density_file(path, 2)
+    # a non-finite value parses as a float but is no density, rescaled or not
+    for token in ("nan", "inf", "-inf"):
+        write_lines(path, "0.5", token, "0.5")
+        for normalize in (False, True):
+            with pytest.raises(InvalidDensityError, match=rf"rho\.txt:2: .*{token!r}"):
+                read_density_file(path, 3, normalize=normalize)
 
 
 def test_density_file_wrong_count(tmp_path):
@@ -129,7 +135,7 @@ def test_solve_scenario_end_to_end(tmp_path, triangle_file, density_files):
     assert run.exit_code == EXIT_OK
     assert run.out_path == out
     doc = run.document
-    assert doc["schema"] == "graph-ot/2"
+    assert doc["schema"] == ARTIFACT_SCHEMA
     assert doc["scenario"] == "solve"
     assert doc["exit_code"] == EXIT_OK
     assert doc["config"]["steps"] == 8
@@ -427,11 +433,30 @@ def test_recover_topology_scenario(tmp_path):
     )
     assert run.exit_code == EXIT_OK
     extras = run.document["extras"]
+    assert extras.keys() == {"threshold", "effective_edge_count_per_level"}
     assert extras["threshold"] == 1e-3
-    assert len(extras["effective_edges_per_level"]) == 9
+    # the artifact's trajectory and threshold give the effective edges
+    speeds = np.abs(read_artifact(run.out_path)["trajectory"]["edge_velocities"])
     counts = extras["effective_edge_count_per_level"]
+    assert len(counts) == 9
     assert all(0 <= c <= 10 for c in counts)
-    assert counts == [len(es) for es in extras["effective_edges_per_level"]]
+    assert counts == (speeds > 1e-3).sum(axis=1).tolist()
+
+    # strict: at a threshold equal to a level's largest |v|, that edge is
+    # not counted, and so neither is any other edge of the level
+    level = 4
+    fastest = float(speeds[level].max())
+    rerun = run_scenario(
+        ScenarioSpec(
+            scenario="recover-topology",
+            complete=5,
+            steps=8,
+            threshold=fastest,
+            out=str(tmp_path / "strict.json"),
+        )
+    )
+    assert_bitwise(np.abs(rerun.document["trajectory"]["edge_velocities"]), speeds)
+    assert rerun.document["extras"]["effective_edge_count_per_level"][level] == 0
 
 
 def test_consensus_scenario(tmp_path):
@@ -522,6 +547,27 @@ def test_benchmark_2d_defaults_damped(tmp_path):
     assert len(factors) == solver["iterations"]
     assert all(0.0 < lam <= 1.0 for lam in factors)
     assert factors[0] < 1.0 and factors[-1] == 1.0
+
+
+def test_benchmark_2d_upwind_cold_start_fails_honestly(tmp_path):
+    # from the default guess, v = 0 where every upwind edge is a tie, the
+    # upwind 2-d benchmark does not converge; it ends with its status, a
+    # negative density and a negative CFL margin, and writes its artifact.
+    # A change that makes this solve converge must update this test.
+    run = run_scenario(
+        ScenarioSpec("benchmark-2d", theta="upwind", out=str(tmp_path / "up.json"))
+    )
+    assert run.exit_code == EXIT_NOT_CONVERGED
+    document = read_artifact(run.out_path)
+    assert document["exit_code"] == EXIT_NOT_CONVERGED
+    assert document["config"]["theta"] == "upwind"
+    solver = document["solver"]
+    assert solver["status"] == "line_search_failed"
+    assert solver["iterations"] == 10
+    assert sum(solver["jacobian_refreshed"]) == 10
+    assert solver["positivity_ok"] is False
+    assert document["trajectory"]["densities"].min() == pytest.approx(-5.1e-3, rel=0.05)
+    assert solver["cfl_margin"] == pytest.approx(-0.156, rel=0.05)
 
 
 def test_far_apart_pair_reports_negative_density(tmp_path):
@@ -635,3 +681,21 @@ def test_version_1_artifact_reads_as_before(tmp_path):
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(document) + "\n")
     assert read_artifact(path) == document
+
+    # graph-ot/2 wrote the arrays as bytes, and recover-topology's extras
+    # held the effective edges of each level as [i, j] lists
+    edge_velocities = np.array([[0.5, -2e-3], [0.25, 0.0]])
+    document = {
+        "schema": "graph-ot/2",
+        "trajectory": {"edge_velocities": edge_velocities},
+        "extras": {
+            "threshold": 1e-3,
+            "effective_edges_per_level": [[[1, 2], [1, 3]], [[1, 2]]],
+            "effective_edge_count_per_level": [2, 1],
+        },
+    }
+    path = tmp_path / "v2.json"
+    write_artifact(document, path)
+    read = read_artifact(path)
+    assert_bitwise(read["trajectory"].pop("edge_velocities"), edge_velocities)
+    assert read == {**document, "trajectory": {}}
